@@ -13,12 +13,10 @@ from .clustering import (
     ClusterLabeling,
     MeanShiftParams,
     cluster_packet,
-    find_mode,
     find_mode_path,
     kernel_weight,
     merge_modes,
     seek_modes,
-    shift_once,
 )
 from .config import RunConfig, load_config_file, merge_config
 from .errors import (
@@ -33,13 +31,11 @@ from .errors import (
 from .events import (
     DecayParams,
     Event,
-    FeatureVector,
     Packet,
     SensorGeometry,
-    decay,
+    feature_matrix,
     make_packet,
     packetize,
-    to_feature,
 )
 from .filtering import FilterParams, filter_stream
 from .metrics import (

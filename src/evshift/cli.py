@@ -28,11 +28,10 @@ from .errors import (
     ParseError,
     StreamOrderError,
 )
-from .events import SensorGeometry
+from .events import DecayParams, SensorGeometry, feature_matrix, packetize
 from .filtering import filter_stream
 from .io import (
     LabeledEvents,
-    TrackRow,
     read_centers,
     read_events,
     read_labeled_events,
@@ -48,7 +47,6 @@ from .metrics import (
     adjusted_rand_index,
     kmeans_baseline,
     normalized_mutual_information,
-    pair_counts,
     precision_recall_f,
     tracking_error,
 )
@@ -118,12 +116,11 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     # Filtering is its own stage; this consumes the stream as given.
-    from .events import DecayParams, packetize
-
     cfg = _build_config(args)
     events, geom = read_events(args.input)
-    packets = list(packetize(events, cfg.packet_size, geom, DecayParams(tau=cfg.tau)))
-    labelings = cluster_packets(packets, cfg.pipeline_params().ms_params, args.threads)
+    params = cfg.pipeline_params()
+    packets = list(packetize(events, params.packet_size, geom, params.decay))
+    labelings = cluster_packets(packets, params.ms_params, args.threads)
     labeled = labeled_from_packets(packets, labelings)
     write_labeled_events(args.out, labeled)
     n_clusters = sum(lab.n_clusters for lab in labelings)
@@ -134,59 +131,15 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _measurements_by_packet(rows: LabeledEvents):
-    """Group labeled events back into per-packet centroid measurements."""
-    from .tracking import Measurement
-
-    if len(rows) == 0:
-        raise EmptyAlignmentError("labeled event file is empty")
-    order = np.unique(rows.packet_id)
-    out = []
-    for pid in order:
-        idx = np.flatnonzero(rows.packet_id == pid)
-        t_ref = float(rows.t[idx].max())
-        ms = []
-        cids = np.unique(rows.cluster_id[idx])
-        for cid in cids:
-            if cid == NOISE:
-                continue
-            members = idx[rows.cluster_id[idx] == cid]
-            pos = np.array([rows.x[members].mean(), rows.y[members].mean()])
-            ms.append(Measurement(t=t_ref, position=pos, cluster_id=int(cid), mass=len(members)))
-        out.append((int(pid), t_ref, ms))
-    return out
-
-
 def cmd_track(args: argparse.Namespace) -> int:
-    from .tracking import Tracker
-
     cfg = _build_config(args)
     rows = read_labeled_events(args.input)
-    grouped = _measurements_by_packet(rows)
-    tracker = Tracker(cfg.pipeline_params().tracker_params)
-    out_rows: List[TrackRow] = []
-    import math
-
-    for _, t_ref, measurements in grouped:
-        tracker.observe(t_ref, measurements)
-        for tr in tracker.live_tracks():
-            fresh = tr.last_measurement is not None and tr.measured_t == t_ref
-            out_rows.append(
-                TrackRow(
-                    t=t_ref,
-                    track_id=tr.track_id,
-                    x=float(tr.state[0]),
-                    y=float(tr.state[1]),
-                    vx=float(tr.state[2]),
-                    vy=float(tr.state[3]),
-                    status=tr.status.value,
-                    raw_cx=float(tr.last_measurement[0]) if fresh else math.nan,
-                    raw_cy=float(tr.last_measurement[1]) if fresh else math.nan,
-                )
-            )
+    if len(rows) == 0:
+        raise EmptyAlignmentError("labeled event file is empty")
+    out_rows, _ = track_labelings(rows, cfg.pipeline_params().tracker_params)
     write_tracks(args.out, out_rows)
     confirmed = len({r.track_id for r in out_rows if r.status == TrackStatus.CONFIRMED.value})
-    print(f"packets = {len(grouped)}")
+    print(f"packets = {len(np.unique(rows.packet_id))}")
     print(f"tracks = {len({r.track_id for r in out_rows})}")
     print(f"confirmed_tracks = {confirmed}")
     return 0
@@ -219,28 +172,17 @@ def _truth_labels_for(rows: LabeledEvents, truth_path: str) -> np.ndarray:
     return out
 
 
-def _packet_features(rows: LabeledEvents, idx: np.ndarray, geom: SensorGeometry, tau: float) -> np.ndarray:
-    t_ref = rows.t[idx].max()
-    fx = rows.x[idx] / (geom.width - 1) if geom.width > 1 else np.zeros(len(idx))
-    fy = rows.y[idx] / (geom.height - 1) if geom.height > 1 else np.zeros(len(idx))
-    fp = rows.p[idx].astype(float)
-    ft = np.exp(-(t_ref - rows.t[idx]) / tau)
-    return np.stack([fx, fy, fp, ft], axis=1)
-
-
 def cmd_eval_cluster(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     rows = read_labeled_events(args.pred)
     truth = _truth_labels_for(rows, args.truth)
-    pids = np.unique(rows.packet_id)
     f_scores, precisions, recalls, aris, nmis, km_scores = [], [], [], [], [], []
     pooled_pred: List[np.ndarray] = []
     pooled_truth: List[np.ndarray] = []
     geom = _parse_geometry(args.geometry) if args.geometry else None
     skipped = 0
     offset = 0
-    for pid in pids:
-        idx = np.flatnonzero(rows.packet_id == pid)
+    for pid, idx in rows.packet_groups():
         pred_l = rows.cluster_id[idx]
         true_l = truth[idx]
         keep = (pred_l != NOISE) & (true_l != NOISE)
@@ -269,10 +211,12 @@ def cmd_eval_cluster(args: argparse.Namespace) -> int:
         if args.kmeans:
             if geom is None:
                 raise ContractViolationError("--kmeans needs --geometry WxH to rebuild features")
-            feats = _packet_features(rows, idx, geom, cfg.tau)
+            feats = feature_matrix(
+                rows.t[idx], rows.x[idx], rows.y[idx], rows.p[idx], geom, DecayParams(tau=cfg.tau)
+            )
             k = cfg.kmeans_k or len(np.unique(true_l[true_l != NOISE]))
             k = max(1, min(k, len(idx)))
-            km_labels = kmeans_baseline(feats, k, seed=(cfg.seed or 0) + int(pid))
+            km_labels = kmeans_baseline(feats, k, seed=(cfg.seed or 0) + pid)
             km_prf = precision_recall_f(km_labels, true_l, beta=cfg.beta)
             km_scores.append(km_prf.f_score)
     if not f_scores:

@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import ContractViolationError
-from .events import FeatureVector, Packet
+from .events import Packet
 
 NOISE = -1
 
@@ -100,15 +100,6 @@ def kernel_weight(u) -> np.ndarray | float:
     return w
 
 
-def _as_point(v) -> np.ndarray:
-    if isinstance(v, FeatureVector):
-        return v.as_array()
-    p = np.asarray(v, dtype=float)
-    if p.shape != (4,):
-        raise ContractViolationError(f"expected a 4D feature point, got shape {p.shape}")
-    return p
-
-
 def _step_point(current: np.ndarray, reference: np.ndarray, h: float) -> Tuple[np.ndarray, bool]:
     """One weighted-mean step of `current` toward the reference points."""
     w = kernel_weight((current[None, :] - reference) / h)
@@ -116,38 +107,6 @@ def _step_point(current: np.ndarray, reference: np.ndarray, h: float) -> Tuple[n
     if total < WEIGHT_FLOOR:
         return current.copy(), True
     return (w @ reference) / total, False
-
-
-def shift_once(
-    current,
-    seed_index: int,
-    packet: Packet,
-    params: MeanShiftParams,
-    reference: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, bool]:
-    """One mean-shift step for a single seed of a packet.
-
-    `reference` is the (n, 4) array of comparison points for this iteration:
-    spatial columns are always the packet's original features, polarity and
-    decayed-age columns may carry the per-event state of the previous
-    iteration.  When omitted, the original packet features are used.
-
-    Returns (new_point, stalled).  A stalled seed had total kernel weight
-    below the underflow floor and is returned unchanged.
-    """
-    y = _as_point(current)
-    f0 = packet.feature_array()
-    if reference is None:
-        reference = f0
-    else:
-        reference = np.asarray(reference, dtype=float)
-        if reference.shape != f0.shape:
-            raise ContractViolationError(
-                f"reference shape {reference.shape} does not match packet {f0.shape}"
-            )
-    if not (0 <= seed_index < len(packet)):
-        raise ContractViolationError(f"seed index {seed_index} out of range for packet of {len(packet)}")
-    return _step_point(y, reference, params.bandwidth_h)
 
 
 def find_mode_path(
@@ -174,12 +133,6 @@ def find_mode_path(
         if stalled or moved < params.epsilon:
             break
     return path, iters
-
-
-def find_mode(seed_index: int, packet: Packet, params: MeanShiftParams) -> Tuple[np.ndarray, int]:
-    """Mode reached from one seed plus the iteration count."""
-    path, iters = find_mode_path(seed_index, packet, params)
-    return path[-1], iters
 
 
 StepHook = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
@@ -280,6 +233,21 @@ def merge_modes(modes: np.ndarray, merge_radius: float) -> np.ndarray:
     return out
 
 
+def cluster_centroids(labels, x, y) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean raw pixel position and event count of every labeled cluster.
+
+    Returns (ids, centroids, masses) in ascending cluster id order; NOISE
+    events are left out.  Each coordinate sum is exact for pixel indices,
+    so a centroid does not depend on event order.
+    """
+    labels = np.asarray(labels)
+    keep = labels != NOISE
+    ids, inverse, masses = np.unique(labels[keep], return_inverse=True, return_counts=True)
+    cx = np.bincount(inverse, weights=np.asarray(x)[keep], minlength=len(ids))
+    cy = np.bincount(inverse, weights=np.asarray(y)[keep], minlength=len(ids))
+    return ids, np.column_stack([cx, cy]) / masses[:, None], masses
+
+
 def cluster_packet(packet: Packet, params: MeanShiftParams) -> ClusterLabeling:
     """Cluster one packet: mode seeking, mode merging, noise suppression.
 
@@ -290,25 +258,13 @@ def cluster_packet(packet: Packet, params: MeanShiftParams) -> ClusterLabeling:
     """
     seek = seek_modes(packet, params)
     comp = merge_modes(seek.modes, params.merge_radius)
-    n = len(packet)
-    counts = np.bincount(comp)
-    labels = np.full(n, NOISE, dtype=int)
-    ids: dict[int, int] = {}
-    for i in range(n):
-        c = comp[i]
-        if counts[c] < params.min_cluster_size:
-            continue
-        if c not in ids:
-            ids[c] = len(ids)
-        labels[i] = ids[c]
-    k = len(ids)
-    pixels = packet.pixel_array()
-    centroids = np.zeros((k, 2))
-    masses = np.zeros(k, dtype=int)
-    for c in range(k):
-        members = labels == c
-        masses[c] = int(np.sum(members))
-        centroids[c] = pixels[members].mean(axis=0)
+    # Components are numbered by first occurrence, so renumbering the big
+    # ones in component order keeps first-occurrence order.
+    big = np.bincount(comp) >= params.min_cluster_size
+    remap = np.full(len(big), NOISE, dtype=int)
+    remap[big] = np.arange(int(big.sum()))
+    labels = remap[comp]
+    _, centroids, masses = cluster_centroids(labels, packet.x, packet.y)
     return ClusterLabeling(
         labels=labels,
         centroids=centroids,

@@ -11,7 +11,7 @@ the feature map a pure per-packet function of the raw events.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence
 
 import numpy as np
@@ -68,80 +68,54 @@ class DecayParams:
             raise ContractViolationError(f"tau must be > 0, got {self.tau}")
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Normalized 4D feature point: (fx, fy, fp, ft), each in [0, 1]."""
-
-    fx: float
-    fy: float
-    fp: float
-    ft: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.fx, self.fy, self.fp, self.ft], dtype=float)
-
-
-def decay(t: float, t_ref: float, params: DecayParams) -> float:
-    """Exponentially decayed age of an event relative to a reference time.
-
-    Returns exp(-(t_ref - t) / tau), which is 1 at t == t_ref and strictly
-    decreasing in the age t_ref - t.  Events newer than the reference are a
-    contract violation.
-    """
-    if t > t_ref:
-        raise ContractViolationError(f"event time {t} is newer than reference {t_ref}")
-    return math.exp(-(t_ref - t) / params.tau)
-
-
-def to_feature(e: Event, t_ref: float, geom: SensorGeometry, params: DecayParams) -> FeatureVector:
-    """Map a raw event to its normalized feature vector.
+def feature_matrix(t, x, y, p, geom: SensorGeometry, params: DecayParams) -> np.ndarray:
+    """(n, 4) feature matrix of one packet, from its event columns.
 
     Spatial coordinates are divided by (dimension - 1) so both sensor borders
-    land exactly on 0 and 1.  Polarity maps to {0, 1}.
+    land exactly on 0 and 1.  Polarity maps to {0, 1}.  The decayed age is
+    exp(-(t_ref - t) / tau) with t_ref the newest timestamp of the packet, so
+    it is 1 for the newest event and strictly decreasing in age.
     """
-    if not geom.contains(e.x, e.y):
-        raise OutOfBoundsError(f"event at ({e.x}, {e.y}) outside sensor {geom.width}x{geom.height}")
-    fx = e.x / (geom.width - 1) if geom.width > 1 else 0.0
-    fy = e.y / (geom.height - 1) if geom.height > 1 else 0.0
-    return FeatureVector(fx=fx, fy=fy, fp=1.0 if e.p else 0.0, ft=decay(e.t, t_ref, params))
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x)
+    y = np.asarray(y)
+    outside = (x < 0) | (x >= geom.width) | (y < 0) | (y >= geom.height)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise OutOfBoundsError(f"event at ({x[i]}, {y[i]}) outside sensor {geom.width}x{geom.height}")
+    fx = x / (geom.width - 1) if geom.width > 1 else np.zeros(len(x))
+    fy = y / (geom.height - 1) if geom.height > 1 else np.zeros(len(y))
+    fp = (np.asarray(p) != 0).astype(float)
+    ft = np.exp(-(t.max() - t) / params.tau)
+    return np.column_stack([fx, fy, fp, ft])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Packet:
-    """A bounded, time-ordered batch of events plus their feature vectors.
+    """A bounded, time-ordered batch of events as parallel columns.
 
-    t_ref is the timestamp of the newest event.  Instances are treated as
-    immutable after construction; the dense feature array is cached.
+    t, x, y and p are the event fields as arrays and features is their
+    (n, 4) feature matrix.  Built by make_packet.
     """
 
     events: List[Event]
-    features: List[FeatureVector]
-    t_ref: float
-    _feature_array: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _pixel_array: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.events:
-            raise ContractViolationError("packet must contain at least one event")
-        if len(self.features) != len(self.events):
-            raise ContractViolationError("features and events must be parallel lists")
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    p: np.ndarray
+    features: np.ndarray
 
     def __len__(self) -> int:
         return len(self.events)
 
-    def feature_array(self) -> np.ndarray:
-        """(n, 4) float array of feature vectors, cached."""
-        if self._feature_array is None:
-            self._feature_array = np.array(
-                [[f.fx, f.fy, f.fp, f.ft] for f in self.features], dtype=float
-            )
-        return self._feature_array
+    @property
+    def t_ref(self) -> float:
+        """Timestamp of the newest event, the decay reference."""
+        return float(self.t.max())
 
-    def pixel_array(self) -> np.ndarray:
-        """(n, 2) float array of raw (x, y) pixel coordinates, cached."""
-        if self._pixel_array is None:
-            self._pixel_array = np.array([[e.x, e.y] for e in self.events], dtype=float)
-        return self._pixel_array
+    def feature_array(self) -> np.ndarray:
+        """(n, 4) float array of feature vectors."""
+        return self.features
 
 
 def make_packet(events: Sequence[Event], geom: SensorGeometry, params: DecayParams) -> Packet:
@@ -149,22 +123,11 @@ def make_packet(events: Sequence[Event], geom: SensorGeometry, params: DecayPara
     events = list(events)
     if not events:
         raise ContractViolationError("cannot build a packet from zero events")
-    t_ref = events[-1].t
-    xs = np.array([e.x for e in events], dtype=float)
-    ys = np.array([e.y for e in events], dtype=float)
-    for e in events:
-        if not geom.contains(e.x, e.y):
-            raise OutOfBoundsError(f"event at ({e.x}, {e.y}) outside sensor {geom.width}x{geom.height}")
-    fx = xs / (geom.width - 1) if geom.width > 1 else np.zeros_like(xs)
-    fy = ys / (geom.height - 1) if geom.height > 1 else np.zeros_like(ys)
-    fp = np.array([1.0 if e.p else 0.0 for e in events])
-    ts = np.array([e.t for e in events])
-    ft = np.exp(-(t_ref - ts) / params.tau)
-    features = [FeatureVector(*row) for row in zip(fx, fy, fp, ft)]
-    pkt = Packet(events=events, features=features, t_ref=t_ref)
-    pkt._feature_array = np.column_stack([fx, fy, fp, ft])
-    pkt._pixel_array = np.column_stack([xs, ys])
-    return pkt
+    t = np.array([e.t for e in events], dtype=float)
+    x = np.array([e.x for e in events], dtype=int)
+    y = np.array([e.y for e in events], dtype=int)
+    p = np.array([e.p for e in events], dtype=int)
+    return Packet(events, t, x, y, p, feature_matrix(t, x, y, p, geom, params))
 
 
 def packetize(

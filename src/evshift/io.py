@@ -10,17 +10,16 @@ with repr(), so identical data produces identical bytes.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import tempfile
-import warnings
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ContractViolationError, ParseError
+from .errors import ContractViolationError, ParseError, StreamOrderError
 from .events import Event, SensorGeometry
-from .tracking import Track
 
 
 def _fmt(v: float) -> str:
@@ -52,14 +51,14 @@ def read_events(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[List[
     """Parse an event stream file.
 
     The `# width height` header wins over the geom argument; without either
-    the file is rejected.  Out-of-order timestamps are tolerated here: the
-    stream is stably re-sorted with a warning, so downstream stages can rely
-    on time order.
+    the file is rejected.  Polarity must be 0 or 1 (ParseError otherwise) and
+    timestamps must not decrease (StreamOrderError, naming file and line).
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     events: List[Event] = []
     file_geom: Optional[SensorGeometry] = None
+    prev_t = -math.inf
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -77,9 +76,17 @@ def read_events(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[List[
             if len(parts) != 4:
                 raise ParseError(path, line_no, f"expected 4 fields, got {len(parts)}")
             try:
-                e = Event(t=float(parts[0]), x=int(parts[1]), y=int(parts[2]), p=int(parts[3]))
+                t, p = float(parts[0]), int(parts[3])
+                e = Event(t=t, x=int(parts[1]), y=int(parts[2]), p=p)
             except (ValueError, ContractViolationError) as exc:
                 raise ParseError(path, line_no, str(exc)) from exc
+            if p != 0 and p != 1:
+                raise ParseError(path, line_no, f"polarity must be 0 or 1, got {parts[3]}")
+            if t < prev_t:
+                raise StreamOrderError(
+                    len(events), f"{path}:{line_no}: timestamp {parts[0]} is earlier than the previous event's"
+                )
+            prev_t = t
             events.append(e)
     use_geom = file_geom or geom
     if use_geom is None:
@@ -87,11 +94,6 @@ def read_events(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[List[
     for e in events:
         if not use_geom.contains(e.x, e.y):
             raise ParseError(path, 0, f"event at ({e.x}, {e.y}) outside {use_geom.width}x{use_geom.height}")
-    ts = np.array([e.t for e in events])
-    if len(ts) > 1 and np.any(np.diff(ts) < 0):
-        warnings.warn(f"{path}: events out of time order, re-sorting stably")
-        order = np.argsort(ts, kind="stable")
-        events = [events[i] for i in order]
     return events, use_geom
 
 
@@ -111,6 +113,14 @@ class LabeledEvents:
 
     def __len__(self) -> int:
         return len(self.t)
+
+    def packet_groups(self) -> Iterator[Tuple[int, np.ndarray]]:
+        """(packet_id, row indices) per packet in ascending packet id order;
+        the indices of one packet keep file order."""
+        order = np.argsort(self.packet_id, kind="stable")
+        pids, starts = np.unique(self.packet_id[order], return_index=True)
+        for pid, idx in zip(pids, np.split(order, starts[1:])):
+            yield int(pid), idx
 
 
 def write_labeled_events(path: str, rows: LabeledEvents) -> None:

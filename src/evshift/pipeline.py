@@ -1,7 +1,7 @@
 """End-to-end wiring: noise filter, packetizer, clustering, tracking.
 
 Packets are independent once formed, so clustering can fan out over a
-thread pool (EVSHIFT_THREADS caps the width, default 1); results come back
+thread pool (EVSHIFT_THREADS sets the width, default 1); results come back
 in packet order, so the output does not depend on the thread count.
 Tracking is stateful and always runs sequentially over packet order.
 """
@@ -16,7 +16,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .clustering import ClusterLabeling, MeanShiftParams, cluster_packet
+from .clustering import ClusterLabeling, MeanShiftParams, cluster_centroids, cluster_packet
+from .errors import ContractViolationError
 from .events import DecayParams, Event, Packet, SensorGeometry, packetize
 from .filtering import FilterParams, filter_stream
 from .io import LabeledEvents, TrackRow
@@ -35,13 +36,18 @@ class PipelineParams:
 
 
 def thread_count() -> int:
-    """Worker count for packet-parallel stages, from EVSHIFT_THREADS."""
+    """Worker count for packet-parallel stages, from EVSHIFT_THREADS.
+
+    Unset means 1; anything but a positive integer is rejected.
+    """
     raw = os.environ.get("EVSHIFT_THREADS", "1")
     try:
         n = int(raw)
     except ValueError:
-        return 1
-    return max(1, n)
+        n = 0
+    if n < 1:
+        raise ContractViolationError(f"EVSHIFT_THREADS must be a positive integer, got {raw!r}")
+    return n
 
 
 def cluster_packets(
@@ -50,7 +56,9 @@ def cluster_packets(
     threads: Optional[int] = None,
 ) -> List[ClusterLabeling]:
     """Cluster packets, optionally in parallel, preserving packet order."""
-    n = thread_count() if threads is None else max(1, threads)
+    n = thread_count() if threads is None else threads
+    if n < 1:
+        raise ContractViolationError(f"thread count must be >= 1, got {n}")
     if n == 1 or len(packets) <= 1:
         return [cluster_packet(p, params) for p in packets]
     with ThreadPoolExecutor(max_workers=n) as pool:
@@ -91,49 +99,38 @@ def make_packets(
 
 def labeled_from_packets(packets: Sequence[Packet], labelings: Sequence[ClusterLabeling]) -> LabeledEvents:
     """Flatten per-packet labels into one row per event."""
-    t: List[float] = []
-    x: List[int] = []
-    y: List[int] = []
-    p: List[int] = []
-    pid: List[int] = []
-    cid: List[int] = []
-    for i, (packet, lab) in enumerate(zip(packets, labelings)):
-        for j, e in enumerate(packet.events):
-            t.append(e.t)
-            x.append(e.x)
-            y.append(e.y)
-            p.append(e.p)
-            pid.append(i)
-            cid.append(int(lab.labels[j]))
+    if len(packets) != len(labelings):
+        raise ContractViolationError(f"{len(packets)} packets but {len(labelings)} labelings")
+
+    def cat(parts, dtype) -> np.ndarray:
+        return np.concatenate([np.zeros(0, dtype=dtype), *parts])
+
     return LabeledEvents(
-        t=np.array(t, dtype=float),
-        x=np.array(x, dtype=int),
-        y=np.array(y, dtype=int),
-        p=np.array(p, dtype=int),
-        packet_id=np.array(pid, dtype=int),
-        cluster_id=np.array(cid, dtype=int),
+        t=cat([pkt.t for pkt in packets], float),
+        x=cat([pkt.x for pkt in packets], int),
+        y=cat([pkt.y for pkt in packets], int),
+        p=cat([pkt.p for pkt in packets], int),
+        packet_id=np.repeat(np.arange(len(packets)), [len(pkt) for pkt in packets]),
+        cluster_id=cat([lab.labels for lab in labelings], int),
     )
 
 
-def track_labelings(
-    packets: Sequence[Packet],
-    labelings: Sequence[ClusterLabeling],
-    params: TrackerParams,
-) -> tuple[List[TrackRow], Tracker]:
-    """Feed per-packet centroids through the tracker, packet by packet.
+def track_labelings(labeled: LabeledEvents, params: TrackerParams) -> tuple[List[TrackRow], Tracker]:
+    """Feed per-packet cluster centroids through the tracker, packet by packet.
 
-    Emits one row per live track per packet; raw centroid columns are NaN
-    for packets where the track was coasting on prediction alone.
+    Packets are taken in ascending packet id; each is observed at its newest
+    timestamp.  Emits one row per live track per packet; raw centroid columns
+    are NaN for packets where the track was coasting on prediction alone.
     """
     tracker = Tracker(params)
     rows: List[TrackRow] = []
-    for packet, lab in zip(packets, labelings):
-        t = packet.t_ref
-        measurements = [
-            Measurement(t=t, position=lab.centroids[c], cluster_id=c, mass=int(lab.masses[c]))
-            for c in range(lab.n_clusters)
-        ]
-        tracker.observe(t, measurements)
+    for _, idx in labeled.packet_groups():
+        t = float(labeled.t[idx].max())
+        ids, centroids, masses = cluster_centroids(labeled.cluster_id[idx], labeled.x[idx], labeled.y[idx])
+        tracker.observe(t, [
+            Measurement(t=t, position=pos, cluster_id=int(cid), mass=int(mass))
+            for cid, pos, mass in zip(ids, centroids, masses)
+        ])
         for tr in tracker.live_tracks():
             fresh = tr.last_measurement is not None and tr.measured_t == t
             rows.append(
@@ -163,7 +160,7 @@ def run_pipeline(
     packets, n_raw, n_kept = make_packets(events, geom, params)
     labelings = cluster_packets(packets, params.ms_params, threads)
     labeled = labeled_from_packets(packets, labelings)
-    track_rows, tracker = track_labelings(packets, labelings, params.tracker_params)
+    track_rows, tracker = track_labelings(labeled, params.tracker_params)
     return PipelineResult(
         packets=packets,
         labelings=labelings,

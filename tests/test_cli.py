@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from evshift.cli import main
-from evshift.io import LabeledEvents, TrackRow, write_labeled_events, write_tracks, write_truth
+from evshift.io import LabeledEvents, TrackRow, read_events, write_labeled_events, write_tracks, write_truth
 from evshift.events import Event
+from evshift.pipeline import PipelineParams, run_pipeline
 from evshift.synth import Keyframes, SceneSpec, ShapeSpec, save_scene
 
 SQUARE = ((-7.0, -7.0), (7.0, -7.0), (7.0, 7.0), (-7.0, 7.0))
@@ -125,6 +126,25 @@ def test_outputs_are_byte_deterministic(tmp_path, capsys, scene_path, monkeypatc
     capsys.readouterr()
 
 
+def test_cluster_then_track_matches_run_pipeline(tmp_path, capsys, scene_path):
+    ev = str(tmp_path / "ev.txt")
+    lab = str(tmp_path / "lab.csv")
+    tracks = str(tmp_path / "tracks.csv")
+    assert main(["synth", "--scene", scene_path, "--out", ev]) == 0
+    assert main(["cluster", "--in", ev, "--out", lab, "--packet-size", "100"]) == 0
+    assert main(["track", "--in", lab, "--out", tracks]) == 0
+    capsys.readouterr()
+    events, geom = read_events(ev)
+    res = run_pipeline(events, geom, PipelineParams(packet_size=100, filter_params=None))
+    assert len(res.track_rows) > 0
+    lib_lab = str(tmp_path / "lib_lab.csv")
+    lib_tracks = str(tmp_path / "lib_tracks.csv")
+    write_labeled_events(lib_lab, res.labeled)
+    write_tracks(lib_tracks, res.track_rows)
+    assert open(lab, "rb").read() == open(lib_lab, "rb").read()
+    assert open(tracks, "rb").read() == open(lib_tracks, "rb").read()
+
+
 def test_seed_override_changes_noise(tmp_path, capsys, scene_path):
     a = str(tmp_path / "a.txt")
     b = str(tmp_path / "b.txt")
@@ -171,6 +191,23 @@ def test_exit_code_parse_errors(tmp_path, capsys):
     cfg.write_text("bandwidth = up\n")
     assert main(["cluster", "--in", str(bad), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)]) == 4
     capsys.readouterr()
+
+
+def test_exit_code_stream_order(tmp_path, capsys):
+    bad = tmp_path / "disorder.txt"
+    bad.write_text("# 10 10\n0.2 1 1 1\n0.1 2 2 0\n")
+    assert main(["filter", "--in", str(bad), "--out", str(tmp_path / "o.txt")]) == 5
+    assert f"{bad}:3:" in capsys.readouterr().err
+
+
+def test_exit_code_bad_thread_count(tmp_path, capsys, monkeypatch):
+    ev = tmp_path / "ev.txt"
+    ev.write_text("# 10 10\n0.1 1 1 1\n0.2 2 2 0\n")
+    out = str(tmp_path / "o.csv")
+    assert main(["cluster", "--in", str(ev), "--out", out, "--threads", "0"]) == 6
+    monkeypatch.setenv("EVSHIFT_THREADS", "junk")
+    assert main(["cluster", "--in", str(ev), "--out", out]) == 6
+    assert "EVSHIFT_THREADS" in capsys.readouterr().err
 
 
 def test_exit_code_contract_violations(tmp_path, capsys):

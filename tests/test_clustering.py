@@ -12,13 +12,14 @@ import pytest
 from evshift.clustering import (
     NOISE,
     MeanShiftParams,
+    WEIGHT_FLOOR,
+    _step_point,
+    cluster_centroids,
     cluster_packet,
-    find_mode,
     find_mode_path,
     kernel_weight,
     merge_modes,
     seek_modes,
-    shift_once,
 )
 from evshift.errors import ContractViolationError
 from evshift.events import DecayParams, Event, SensorGeometry, make_packet
@@ -57,7 +58,8 @@ def test_find_mode_matches_frozen_grid_oracle():
     pkt = two_blob_packet()
     feats = pkt.feature_array()
     for seed, grid_mode in ((0, GRID_MODE_A), (6, GRID_MODE_B)):
-        mode, iters = find_mode(seed, pkt, PARAMS)
+        path, iters = find_mode_path(seed, pkt, PARAMS)
+        mode = path[-1]
         assert 0 < iters <= PARAMS.max_iters
         assert abs(mode[0] - grid_mode[0]) <= 2e-3
         assert abs(mode[1] - grid_mode[1]) <= 2e-3
@@ -126,15 +128,15 @@ def test_lockstep_matches_per_seed_when_hybrid_columns_freeze():
     pkt = two_blob_packet()
     res = seek_modes(pkt, PARAMS)
     for i in range(len(pkt)):
-        mode, _ = find_mode(i, pkt, PARAMS)
+        mode = find_mode_path(i, pkt, PARAMS)[0][-1]
         assert np.allclose(res.modes[i], mode, atol=1e-9)
     assert not res.stalled.any()
 
 
-def test_shift_once_single_step():
+def test_step_point_single_step():
     pkt = two_blob_packet()
     f0 = pkt.feature_array()
-    y, stalled = shift_once(f0[0], 0, pkt, PARAMS)
+    y, stalled = _step_point(f0[0], f0, PARAMS.bandwidth_h)
     assert not stalled
     # hand-rolled weighted mean against the original features
     w = np.exp(-0.5 * np.sum(((f0[0] - f0) / PARAMS.bandwidth_h) ** 2, axis=1))
@@ -142,22 +144,15 @@ def test_shift_once_single_step():
     assert np.allclose(y, expect, atol=1e-14)
 
 
-def test_shift_once_underflow_stalls():
+def test_step_point_underflow_stalls():
     pkt = two_blob_packet()
+    f0 = pkt.feature_array()
     far = np.array([50.0, 50.0, 1.0, 1.0])
-    y, stalled = shift_once(far, 0, pkt, PARAMS)
+    assert np.sum(kernel_weight((far - f0) / PARAMS.bandwidth_h)) < WEIGHT_FLOOR
+    y, stalled = _step_point(far, f0, PARAMS.bandwidth_h)
     assert stalled
     assert np.array_equal(y, far)
-
-
-def test_shift_once_contract_checks():
-    pkt = two_blob_packet()
-    with pytest.raises(ContractViolationError):
-        shift_once([0.0, 0.0, 0.0], 0, pkt, PARAMS)
-    with pytest.raises(ContractViolationError):
-        shift_once(pkt.feature_array()[0], 99, pkt, PARAMS)
-    with pytest.raises(ContractViolationError):
-        shift_once(pkt.feature_array()[0], 0, pkt, PARAMS, reference=np.zeros((3, 4)))
+    assert y is not far
 
 
 def test_merge_modes_chains_transitively():
@@ -238,6 +233,50 @@ def test_cluster_packet_deterministic():
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.centroids, b.centroids)
     assert a.ops_count == b.ops_count
+
+
+def loop_labels_and_centroids(comp, pixels, min_size):
+    """Per-event loop reference: big components renumbered by first
+    occurrence, centroid = mean of member pixels."""
+    counts = np.bincount(comp)
+    labels = np.full(len(comp), NOISE, dtype=int)
+    ids = {}
+    for i, c in enumerate(comp):
+        if counts[c] >= min_size:
+            labels[i] = ids.setdefault(c, len(ids))
+    centroids = np.array([pixels[labels == c].mean(axis=0) for c in range(len(ids))]).reshape(-1, 2)
+    return labels, centroids
+
+
+def test_labels_and_centroids_match_loop_reference():
+    rng = np.random.default_rng(11)
+    geom = SensorGeometry(64, 48)
+    for _ in range(4):
+        t = np.sort(rng.uniform(0.0, 0.01, size=120))
+        events = [
+            Event(t=float(t[i]), x=int(rng.integers(0, 64)), y=int(rng.integers(0, 48)), p=bool(rng.integers(0, 2)))
+            for i in range(120)
+        ]
+        pkt = make_packet(events, geom, DecayParams())
+        lab = cluster_packet(pkt, PARAMS)
+        comp = merge_modes(seek_modes(pkt, PARAMS).modes, PARAMS.merge_radius)
+        labels, centroids = loop_labels_and_centroids(comp, np.column_stack([pkt.x, pkt.y]), PARAMS.min_cluster_size)
+        assert np.array_equal(lab.labels, labels)
+        assert np.array_equal(lab.centroids, centroids)
+        assert lab.masses.tolist() == [int(np.sum(labels == c)) for c in range(len(centroids))]
+
+
+def test_cluster_centroids_sparse_ids_and_noise():
+    labels = np.array([4, NOISE, 1, 4, 1, 1, NOISE])
+    x = np.array([10, 99, 0, 13, 2, 7, 50])
+    y = np.array([5, 99, 1, 6, 1, 1, 50])
+    ids, centroids, masses = cluster_centroids(labels, x, y)
+    assert ids.tolist() == [1, 4]
+    assert masses.tolist() == [3, 2]
+    assert np.array_equal(centroids, [[3.0, 1.0], [11.5, 5.5]])
+    ids, centroids, masses = cluster_centroids(np.full(3, NOISE), x[:3], y[:3])
+    assert len(ids) == len(masses) == 0
+    assert centroids.shape == (0, 2)
 
 
 def test_param_validation():

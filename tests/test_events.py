@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evshift.errors import ContractViolationError, OutOfBoundsError, StreamOrderError
 from evshift.events import (
     DecayParams,
     Event,
-    Packet,
     SensorGeometry,
-    decay,
+    feature_matrix,
     make_packet,
     packetize,
-    to_feature,
 )
+
+
+def one_feature(e, geom, dp):
+    return feature_matrix([e.t], [e.x], [e.y], [e.p], geom, dp)[0]
 
 
 def test_event_rejects_bad_timestamps():
@@ -29,7 +33,7 @@ def test_out_of_bounds_event_rejected_at_featurization():
     g = SensorGeometry(8, 8)
     dp = DecayParams()
     with pytest.raises(OutOfBoundsError):
-        to_feature(Event(t=0.0, x=-1, y=0, p=True), 0.0, g, dp)
+        feature_matrix([0.0], [-1], [0], [1], g, dp)
     with pytest.raises(OutOfBoundsError):
         make_packet([Event(t=0.0, x=0, y=8, p=True)], g, dp)
 
@@ -46,11 +50,10 @@ def test_geometry_contains():
 
 def test_decay_values():
     p = DecayParams(tau=0.025)
-    assert decay(1.0, 1.0, p) == 1.0
-    assert decay(0.975, 1.0, p) == pytest.approx(math.exp(-1.0), rel=1e-12)
-    assert decay(0.95, 1.0, p) == pytest.approx(math.exp(-2.0), rel=1e-12)
-    with pytest.raises(ContractViolationError):
-        decay(1.1, 1.0, p)
+    ft = feature_matrix([0.95, 0.975, 1.0], [0, 0, 0], [0, 0, 0], [0, 0, 0], SensorGeometry(8, 8), p)[:, 3]
+    assert ft[2] == 1.0
+    assert ft[1] == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert ft[0] == pytest.approx(math.exp(-2.0), rel=1e-12)
     with pytest.raises(ContractViolationError):
         DecayParams(tau=0.0)
 
@@ -58,15 +61,15 @@ def test_decay_values():
 def test_feature_normalization_corners():
     g = SensorGeometry(240, 180)
     p = DecayParams()
-    f = to_feature(Event(t=1.0, x=0, y=0, p=0), 1.0, g, p)
-    assert (f.fx, f.fy, f.fp, f.ft) == (0.0, 0.0, 0.0, 1.0)
-    f = to_feature(Event(t=1.0, x=239, y=179, p=1), 1.0, g, p)
-    assert (f.fx, f.fy, f.fp) == (1.0, 1.0, 1.0)
-    mid = to_feature(Event(t=1.0, x=120, y=90, p=1), 1.0, g, p)
-    assert mid.fx == pytest.approx(120 / 239)
-    assert mid.fy == pytest.approx(90 / 179)
+    f = one_feature(Event(t=1.0, x=0, y=0, p=0), g, p)
+    assert f.tolist() == [0.0, 0.0, 0.0, 1.0]
+    f = one_feature(Event(t=1.0, x=239, y=179, p=1), g, p)
+    assert f[:3].tolist() == [1.0, 1.0, 1.0]
+    mid = one_feature(Event(t=1.0, x=120, y=90, p=1), g, p)
+    assert mid[0] == pytest.approx(120 / 239)
+    assert mid[1] == pytest.approx(90 / 179)
     with pytest.raises(OutOfBoundsError):
-        to_feature(Event(t=1.0, x=240, y=0, p=1), 1.0, g, p)
+        one_feature(Event(t=1.0, x=240, y=0, p=1), g, p)
 
 
 def test_make_packet_reference_is_newest_event():
@@ -83,22 +86,42 @@ def test_make_packet_reference_is_newest_event():
     assert np.all(arr[:, 3] > 0.0)
 
 
-def test_packet_features_match_scalar_path():
-    g = SensorGeometry(64, 48)
-    dp = DecayParams(tau=0.01)
-    rng = np.random.default_rng(3)
-    events = []
-    t = 0.0
-    for _ in range(40):
-        t += float(rng.uniform(0, 1e-3))
-        events.append(
-            Event(t=t, x=int(rng.integers(0, 64)), y=int(rng.integers(0, 48)), p=int(rng.integers(0, 2)))
+@st.composite
+def ordered_packets(draw):
+    width = draw(st.integers(1, 300))
+    height = draw(st.integers(1, 300))
+    n = draw(st.integers(1, 40))
+    gaps = draw(st.lists(st.floats(0.0, 1e-2), min_size=n, max_size=n))
+    t0 = draw(st.floats(0.0, 100.0))
+    events = [
+        Event(
+            t=t0 + sum(gaps[: i + 1]),
+            x=draw(st.integers(0, width - 1)),
+            y=draw(st.integers(0, height - 1)),
+            p=draw(st.integers(0, 1)),
         )
+        for i in range(n)
+    ]
+    tau = draw(st.floats(1e-4, 1.0))
+    return events, SensorGeometry(width, height), DecayParams(tau=tau)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordered_packets())
+def test_packet_features_match_scalar_path(case):
+    events, g, dp = case
     pkt = make_packet(events, g, dp)
     arr = pkt.feature_array()
+    t_ref = events[-1].t
+    assert pkt.t_ref == t_ref
     for i, e in enumerate(events):
-        f = to_feature(e, pkt.t_ref, g, dp)
-        assert np.allclose(arr[i], f.as_array(), rtol=0, atol=1e-15)
+        expect = [
+            e.x / (g.width - 1) if g.width > 1 else 0.0,
+            e.y / (g.height - 1) if g.height > 1 else 0.0,
+            float(e.p),
+            math.exp(-(t_ref - e.t) / dp.tau),
+        ]
+        assert np.allclose(arr[i], expect, rtol=0, atol=1e-15)
 
 
 def test_packetize_sizes_and_remainder():
@@ -133,4 +156,4 @@ def test_packetize_allows_equal_timestamps():
 
 def test_empty_packet_rejected():
     with pytest.raises(ContractViolationError):
-        Packet(events=[], features=[], t_ref=0.0)
+        make_packet([], SensorGeometry(10, 10), DecayParams())

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from evshift.errors import ParseError
+from evshift.errors import ParseError, StreamOrderError
 from evshift.events import Event, SensorGeometry
 from evshift.io import (
     LabeledEvents,
@@ -68,14 +68,26 @@ def test_events_need_some_geometry(tmp_path):
     assert geom == GEOM
 
 
-def test_events_out_of_order_resorted_with_warning(tmp_path):
+def test_events_out_of_order_rejected(tmp_path):
     path = tmp_path / "ev.txt"
-    path.write_text("# 10 10\n0.2 1 1 1\n0.1 2 2 0\n0.2 3 3 1\n")
-    with pytest.warns(UserWarning):
-        events, _ = read_events(str(path))
-    assert [e.t for e in events] == [0.1, 0.2, 0.2]
-    # stable: equal timestamps keep file order
-    assert [e.x for e in events] == [2, 1, 3]
+    path.write_text("# 10 10\n0.2 1 1 1\n0.2 3 3 1\n\n0.1 2 2 0\n")
+    with pytest.raises(StreamOrderError) as info:
+        read_events(str(path))
+    assert info.value.index == 2
+    assert f"{path}:5:" in str(info.value)
+
+
+def test_events_polarity_must_be_binary(tmp_path):
+    path = tmp_path / "ev.txt"
+    for bad in ("-1", "2", "7"):
+        path.write_text(f"# 10 10\n0.1 1 1 0\n0.2 1 1 {bad}\n")
+        with pytest.raises(ParseError) as info:
+            read_events(str(path))
+        assert info.value.line_no == 3
+        assert "polarity" in str(info.value)
+    path.write_text("# 10 10\n0.1 1 1 0\n0.2 1 1 1\n")
+    events, _ = read_events(str(path))
+    assert [e.p for e in events] == [0, 1]
 
 
 def test_events_parse_errors(tmp_path):

@@ -1,8 +1,10 @@
 import math
 
 import numpy as np
+import pytest
 
 from evshift.clustering import MeanShiftParams, cluster_packet
+from evshift.errors import ContractViolationError
 from evshift.events import DecayParams, Event, SensorGeometry, make_packet
 from evshift.pipeline import (
     PipelineParams,
@@ -65,7 +67,7 @@ def test_track_rows_mark_coasting_with_nan():
     # second packet is activity elsewhere, so track 0 coasts
     pkt2 = make_packet(blob_events(60, 40, 0.01), GEOM, DecayParams())
     labs = [cluster_packet(p, MS) for p in (pkt1, pkt2)]
-    rows, tracker = track_labelings([pkt1, pkt2], labs, TrackerParams())
+    rows, tracker = track_labelings(labeled_from_packets([pkt1, pkt2], labs), TrackerParams())
     first = [r for r in rows if r.t == pkt1.t_ref]
     assert len(first) == 1
     assert not math.isnan(first[0].raw_cx)
@@ -93,10 +95,13 @@ def test_thread_count_env(monkeypatch):
     assert thread_count() == 1
     monkeypatch.setenv("EVSHIFT_THREADS", "4")
     assert thread_count() == 4
-    monkeypatch.setenv("EVSHIFT_THREADS", "junk")
-    assert thread_count() == 1
-    monkeypatch.setenv("EVSHIFT_THREADS", "-2")
-    assert thread_count() == 1
+    for bad in ("junk", "", "0", "-2", "1.5"):
+        monkeypatch.setenv("EVSHIFT_THREADS", bad)
+        with pytest.raises(ContractViolationError, match="EVSHIFT_THREADS"):
+            thread_count()
+    monkeypatch.delenv("EVSHIFT_THREADS")
+    with pytest.raises(ContractViolationError):
+        cluster_packets([], MS, threads=0)
 
 
 def test_run_pipeline_end_to_end_counts():
