@@ -28,7 +28,8 @@ NOISE = -1
 # stops where it is and is flagged as stalled.
 WEIGHT_FLOOR = 1e-290
 
-# Memory cap for the (active seeds x events) pairwise block, in elements.
+# Memory cap, in elements, for one pairwise block: (active seeds x events)
+# in mode seeking and (frontier modes x unlabeled modes) in mode merging.
 _BLOCK_ELEMS = 4_000_000
 
 
@@ -146,6 +147,13 @@ class ModeSeekResult:
     stalled: np.ndarray
 
 
+def _scaled_square(a: np.ndarray, b: np.ndarray, h: float, out: np.ndarray) -> None:
+    """out[i, j] = ((a[i] - b[j]) / h) ** 2, computed in place."""
+    np.subtract.outer(a, b, out=out)
+    out /= h
+    out *= out
+
+
 def seek_modes(packet: Packet, params: MeanShiftParams, step_hook: Optional[StepHook] = None) -> ModeSeekResult:
     """Run the lockstep hybrid mode seeking for every event of a packet.
 
@@ -166,25 +174,43 @@ def seek_modes(packet: Packet, params: MeanShiftParams, step_hook: Optional[Step
     stalled = np.zeros(n, dtype=bool)
     active = np.ones(n, dtype=bool)
     ops = 0
+    # Every block has at least two rows: NumPy hands a one-row product to a
+    # BLAS routine that rounds differently, and a seed's step would then
+    # depend on the block size.  A lone last row joins the block before it.
+    block = max(2, _BLOCK_ELEMS // max(n, 1))
+    w_buf, odd_buf, tmp_buf = (np.empty((min(block + 1, n), n)) for _ in range(3))
     for _ in range(params.max_iters):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         snapshot = np.concatenate([f0[:, :2], y[:, 2:]], axis=1)
+        columns = np.ascontiguousarray(snapshot.T)
         new_y = np.empty((idx.size, 4))
         under = np.zeros(idx.size, dtype=bool)
-        block = max(1, _BLOCK_ELEMS // max(n, 1))
-        for s in range(0, idx.size, block):
-            sub = idx[s : s + block]
-            diff = (y[sub, None, :] - snapshot[None, :, :]) / h
-            w = np.exp(-0.5 * np.einsum("ijk,ijk->ij", diff, diff))
+        bounds = list(range(0, idx.size, block)) + [idx.size]
+        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+            del bounds[-2]
+        for s, e in zip(bounds, bounds[1:]):
+            ys = y[idx[s:e]]
+            w, odd, tmp = w_buf[: e - s], odd_buf[: e - s], tmp_buf[: e - s]
+            # (d0 + d2) + (d1 + d3): the order in which NumPy's einsum adds
+            # the four squares, so the weights keep the same bits.
+            _scaled_square(ys[:, 0], columns[0], h, w)
+            _scaled_square(ys[:, 2], columns[2], h, tmp)
+            w += tmp
+            _scaled_square(ys[:, 1], columns[1], h, odd)
+            _scaled_square(ys[:, 3], columns[3], h, tmp)
+            odd += tmp
+            w += odd
+            w *= -0.5
+            np.exp(w, out=w)
             total = w.sum(axis=1)
             bad = total < WEIGHT_FLOOR
             safe_total = np.where(bad, 1.0, total)
             stepped = (w @ snapshot) / safe_total[:, None]
-            stepped[bad] = y[sub][bad]
-            new_y[s : s + block] = stepped
-            under[s : s + block] = bad
+            stepped[bad] = ys[bad]
+            new_y[s:e] = stepped
+            under[s:e] = bad
         ops += idx.size * n
         iterations[idx] += 1
         if step_hook is not None:
@@ -203,33 +229,44 @@ def merge_modes(modes: np.ndarray, merge_radius: float) -> np.ndarray:
     Modes whose pairwise distance is below merge_radius join the same
     component (transitively).  Returns one component id per mode, numbered
     by first occurrence so the result is deterministic.
+
+    Each component is flooded from the lowest mode not yet labeled: every
+    round measures the frontier against the still unlabeled modes, and
+    the modes it reaches form the next frontier.  Starting each flood at
+    the lowest unlabeled index numbers components by first occurrence.
+    Frontier rows go in blocks of at most _BLOCK_ELEMS pairs, so memory
+    stays bounded whatever the number of modes.
     """
     n = len(modes)
-    parent = np.arange(n)
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    d2 = np.sum((modes[:, None, :] - modes[None, :, :]) ** 2, axis=-1)
     thr2 = merge_radius * merge_radius
-    ii, jj = np.nonzero(np.triu(d2 < thr2, k=1))
-    for a, b in zip(ii, jj):
-        ra, rb = root(int(a)), root(int(b))
-        if ra != rb:
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-    comp = np.array([root(i) for i in range(n)])
-    ids: dict[int, int] = {}
+    columns = np.ascontiguousarray(np.asarray(modes, dtype=float).T)
     out = np.empty(n, dtype=int)
-    for i, c in enumerate(comp):
-        if c not in ids:
-            ids[c] = len(ids)
-        out[i] = ids[c]
+    # a block holds at most _BLOCK_ELEMS pairs, or one frontier row
+    d2_buf, tmp_buf = (np.empty(min(max(_BLOCK_ELEMS, n), n * n)) for _ in range(2))
+    rest = np.arange(n)
+    comp = 0
+    while rest.size:
+        frontier, rest = rest[:1], rest[1:]
+        out[frontier] = comp
+        while frontier.size and rest.size:
+            rest_cols = columns[:, rest]
+            hit = np.zeros(rest.size, dtype=bool)
+            block = max(1, _BLOCK_ELEMS // rest.size)
+            for s in range(0, frontier.size, block):
+                front_cols = columns[:, frontier[s : s + block]]
+                shape = (front_cols.shape[1], rest.size)
+                d2 = d2_buf[: shape[0] * shape[1]].reshape(shape)
+                tmp = tmp_buf[: shape[0] * shape[1]].reshape(shape)
+                # dimensions summed in turn: the bits np.sum over the last
+                # axis gives, so each `< thr2` decision stays as it was
+                _scaled_square(front_cols[0], rest_cols[0], 1.0, d2)
+                for k in range(1, len(columns)):
+                    _scaled_square(front_cols[k], rest_cols[k], 1.0, tmp)
+                    d2 += tmp
+                hit |= (d2 < thr2).any(axis=0)
+            frontier, rest = rest[hit], rest[~hit]
+            out[frontier] = comp
+        comp += 1
     return out
 
 

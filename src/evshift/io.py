@@ -93,8 +93,28 @@ def read_events(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[List[
         raise ParseError(path, 0, "no geometry header and no fallback geometry given")
     for e in events:
         if not use_geom.contains(e.x, e.y):
-            raise ParseError(path, 0, f"event at ({e.x}, {e.y}) outside {use_geom.width}x{use_geom.height}")
+            index = next(i for i, other in enumerate(events) if other is e)
+            raise ParseError(
+                path, _event_line_no(path, index), f"event at ({e.x}, {e.y}) outside {use_geom.width}x{use_geom.height}"
+            )
     return events, use_geom
+
+
+def _event_line_no(path: str, index: int) -> int:
+    """1-based line number of the event at stream position `index`.
+
+    Re-reads the file, so only error paths pay for it; blank and `#` lines
+    are skipped exactly as read_events skips them.  0 if the file holds
+    fewer events.
+    """
+    with open(path) as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                if index == 0:
+                    return line_no
+                index -= 1
+    return 0
 
 
 LABELED_HEADER = ["t", "x", "y", "p", "packet_id", "cluster_id"]

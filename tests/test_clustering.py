@@ -6,12 +6,18 @@ climb: kernel density summed over original features, maximized on a uniform
 They are frozen here as plain numbers.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evshift import clustering
 from evshift.clustering import (
     NOISE,
     MeanShiftParams,
+    ModeSeekResult,
     WEIGHT_FLOOR,
     _step_point,
     cluster_centroids,
@@ -179,6 +185,144 @@ def test_merge_modes_numbers_by_first_occurrence():
         [0.9001, 0.9, 0.0, 0.0],
     ])
     assert merge_modes(modes, 0.05).tolist() == [0, 1, 0]
+
+
+def merge_modes_union_find(modes, merge_radius):
+    """Reference merge: the full (n, n, 4) distance array, a union-find over
+    every close pair, then renumbering of the roots by first occurrence."""
+    n = len(modes)
+    parent = np.arange(n)
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    d2 = np.sum((modes[:, None, :] - modes[None, :, :]) ** 2, axis=-1)
+    ii, jj = np.nonzero(np.triu(d2 < merge_radius * merge_radius, k=1))
+    for a, b in zip(ii, jj):
+        ra, rb = root(int(a)), root(int(b))
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    ids = {}
+    return np.array([ids.setdefault(root(i), len(ids)) for i in range(n)], dtype=int)
+
+
+def seek_modes_einsum(packet, params):
+    """Reference mode seeking: all active seeds in one block, distances
+    through an (active, n, 4) difference array and einsum."""
+    f0 = packet.feature_array()
+    n = len(f0)
+    h = params.bandwidth_h
+    y = f0.copy()
+    iterations = np.zeros(n, dtype=int)
+    stalled = np.zeros(n, dtype=bool)
+    active = np.ones(n, dtype=bool)
+    ops = 0
+    for _ in range(params.max_iters):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        snapshot = np.concatenate([f0[:, :2], y[:, 2:]], axis=1)
+        diff = (y[idx, None, :] - snapshot[None, :, :]) / h
+        w = np.exp(-0.5 * np.einsum("ijk,ijk->ij", diff, diff))
+        total = w.sum(axis=1)
+        under = total < WEIGHT_FLOOR
+        new_y = (w @ snapshot) / np.where(under, 1.0, total)[:, None]
+        new_y[under] = y[idx][under]
+        ops += idx.size * n
+        iterations[idx] += 1
+        shift = np.linalg.norm(new_y - y[idx], axis=1)
+        y[idx] = new_y
+        stalled[idx[under]] = True
+        active[idx[under | (shift < params.epsilon)]] = False
+    return ModeSeekResult(modes=y, iterations=iterations, ops_count=ops, stalled=stalled)
+
+
+def random_packet(rng, n, geom, span):
+    t = np.sort(rng.uniform(0.0, span, size=n))
+    events = [
+        Event(t=float(t[i]), x=int(rng.integers(0, geom.width)), y=int(rng.integers(0, geom.height)),
+              p=bool(rng.integers(0, 2)))
+        for i in range(n)
+    ]
+    return make_packet(events, geom, DecayParams())
+
+
+def blob_packet(rng, n_blobs, per_blob, n_noise, geom):
+    """Events in tight pixel blobs plus uniform noise, in shuffled order, so
+    mode merging sees components with many members."""
+    centres = rng.integers(8, [geom.width - 8, geom.height - 8], size=(n_blobs, 2))
+    xy = np.concatenate([np.repeat(centres, per_blob, axis=0) + rng.integers(-2, 3, size=(n_blobs * per_blob, 2)),
+                         rng.integers(0, [geom.width, geom.height], size=(n_noise, 2))])
+    xy = xy[rng.permutation(len(xy))]
+    t = np.sort(rng.uniform(0.0, 0.01, size=len(xy)))
+    events = [Event(t=float(t[i]), x=int(xy[i, 0]), y=int(xy[i, 1]), p=bool(i % 7 == 0)) for i in range(len(xy))]
+    return make_packet(events, geom, DecayParams())
+
+
+# Lattice steps of 0.025 with merge_radius 0.05 = two steps: draws hold
+# duplicates, chains of neighbours and pairs at exactly the radius.
+LATTICE_MODES = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 2), st.integers(0, 2)), max_size=60
+).map(lambda pts: np.array(pts, dtype=float).reshape(-1, 4) * 0.025)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LATTICE_MODES)
+def test_merge_modes_matches_union_find_oracle(modes):
+    assert np.array_equal(merge_modes(modes, 0.05), merge_modes_union_find(modes, 0.05))
+
+
+def test_seek_modes_matches_einsum_oracle():
+    rng = np.random.default_rng(17)
+    geom = SensorGeometry(64, 48)
+    for n, span in ((40, 0.001), (150, 0.02), (250, 0.05), (200, 0.2)):
+        pkt = random_packet(rng, n, geom, span)
+        got, want = seek_modes(pkt, PARAMS), seek_modes_einsum(pkt, PARAMS)
+        assert np.array_equal(got.iterations, want.iterations)
+        assert np.array_equal(got.stalled, want.stalled)
+        assert got.ops_count == want.ops_count
+        assert np.max(np.abs(got.modes - want.modes)) <= 1e-14
+
+
+@pytest.mark.parametrize("block_elems", [1, 997, 2_500])
+def test_small_blocks_give_identical_results(monkeypatch, block_elems):
+    pkt = blob_packet(np.random.default_rng(29), n_blobs=5, per_blob=40, n_noise=40, geom=SensorGeometry(96, 64))
+    assert len(pkt) >= 200
+    seek = seek_modes(pkt, PARAMS)
+    comp = merge_modes(seek.modes, PARAMS.merge_radius)
+    lab = cluster_packet(pkt, PARAMS)
+    # flood frontiers of many modes, so small caps split them into blocks
+    assert np.bincount(comp).max() >= 20
+    monkeypatch.setattr(clustering, "_BLOCK_ELEMS", block_elems)
+    small = seek_modes(pkt, PARAMS)
+    assert np.array_equal(small.modes, seek.modes)
+    assert np.array_equal(small.iterations, seek.iterations)
+    assert np.array_equal(small.stalled, seek.stalled)
+    assert small.ops_count == seek.ops_count
+    assert np.array_equal(merge_modes(seek.modes, PARAMS.merge_radius), comp)
+    small_lab = cluster_packet(pkt, PARAMS)
+    assert np.array_equal(small_lab.labels, lab.labels)
+    assert np.array_equal(small_lab.centroids, lab.centroids)
+    assert np.array_equal(small_lab.masses, lab.masses)
+    assert np.array_equal(small_lab.iterations_used, lab.iterations_used)
+
+
+def test_merge_modes_memory_is_bounded_by_the_block():
+    # one component of 5000 modes, three merge radii wide: the flood runs
+    # several rounds whose frontier x unlabeled pairs exceed one block
+    rng = np.random.default_rng(31)
+    modes = np.column_stack([rng.uniform(0.4, 0.55, size=(5000, 2)), np.full((5000, 2), 0.5)])
+    tracemalloc.start()
+    try:
+        comp = merge_modes(modes, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(comp == 0)
+    assert peak < 3 * 8 * clustering._BLOCK_ELEMS
 
 
 def test_two_blob_packet_clusters_exactly():

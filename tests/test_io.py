@@ -90,6 +90,20 @@ def test_events_polarity_must_be_binary(tmp_path):
     assert [e.p for e in events] == [0, 1]
 
 
+def test_events_outside_sensor_name_their_line(tmp_path):
+    path = tmp_path / "ev.txt"
+    path.write_text("# 4 4\n0.1 1 1 1\n0.2 9 1 0\n")
+    with pytest.raises(ParseError) as info:
+        read_events(str(path))
+    assert info.value.line_no == 3
+    assert f"{path}:3: event at (9, 1) outside 4x4" in str(info.value)
+    # blank and comment lines count as lines but not as events
+    path.write_text("# 4 4\n\n0.1 1 1 1\n# note\n0.2 1 2 0\n0.3 1 4 1\n")
+    with pytest.raises(ParseError) as info:
+        read_events(str(path))
+    assert info.value.line_no == 6
+
+
 def test_events_parse_errors(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("# 10 10\n0.1 1 1\n")
