@@ -22,7 +22,7 @@ import numpy as np
 from .clustering import MeanShiftParams
 from .errors import ContractViolationError
 from .events import SensorGeometry
-from .io import atomic_write_text
+from .io import _write_csv
 from .pipeline import PipelineParams, cluster_packets, make_packets
 from .synth import SceneSpec, generate
 
@@ -142,14 +142,12 @@ def run_sweep(
     return CostReport(rows=rows, geometry=scene.geometry, fps=fps)
 
 
-COST_HEADER = ["factor", "ms_ops_per_s", "track_ops_per_s", "frame_baseline", "reduction", "detections_per_s"]
+COST_COLUMNS = (
+    ("factor", float), ("ms_ops_per_s", float), ("track_ops_per_s", float),
+    ("frame_baseline", float), ("reduction", float), ("detections_per_s", float),
+)
+COST_HEADER = [name for name, _ in COST_COLUMNS]
 
 
 def write_cost_csv(path: str, report: CostReport) -> None:
-    lines = [",".join(COST_HEADER)]
-    for r in report.rows:
-        lines.append(
-            f"{repr(float(r.factor))},{repr(float(r.ms_ops_per_s))},{repr(float(r.track_ops_per_s))},"
-            f"{repr(float(r.frame_baseline))},{repr(float(r.reduction))},{repr(float(r.detections_per_s))}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, COST_COLUMNS, [[getattr(r, name) for r in report.rows] for name in COST_HEADER])

@@ -32,6 +32,7 @@ from .events import DecayParams, SensorGeometry, feature_matrix, packetize
 from .filtering import filter_stream
 from .io import (
     LabeledEvents,
+    _fmt,
     read_centers,
     read_events,
     read_labeled_events,
@@ -54,10 +55,6 @@ from .pipeline import cluster_packets, labeled_from_packets, track_labelings
 from .scenes import SCENE_BUILDERS, build_scene
 from .synth import generate, load_scene
 from .tracking import TrackStatus
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 def _parse_geometry(text: str) -> SensorGeometry:

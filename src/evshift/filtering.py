@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ContractViolationError, StreamOrderError
+from .errors import ContractViolationError, OutOfBoundsError, StreamOrderError
 from .events import Event, SensorGeometry
 
 
@@ -40,7 +40,9 @@ def filter_stream(
     Support requires 0 < t - t' <= window, so simultaneous neighbors do not
     support each other.  Two timestamps are kept per pixel (latest, and latest
     strictly older one) so that equal-timestamp arrivals at a pixel cannot
-    mask an older supporting event there.
+    mask an older supporting event there.  An event outside the sensor
+    raises OutOfBoundsError naming its stream index: in the padding it
+    could otherwise support its in-sensor neighbours.
     """
     r = params.radius
     # Pad by radius so neighborhood slices never need bounds checks.
@@ -52,6 +54,8 @@ def filter_stream(
         if e.t < prev_t:
             raise StreamOrderError(i)
         prev_t = e.t
+        if not geom.contains(e.x, e.y):
+            raise OutOfBoundsError(f"event {i} at ({e.x}, {e.y}) outside sensor {geom.width}x{geom.height}")
         y, x = e.y + r, e.x + r
         view_last = last[y - r : y + r + 1, x - r : x + r + 1]
         m = view_last.max()

@@ -2,7 +2,8 @@
 
 Event streams are whitespace-separated text, one `t x y p` line per event,
 preceded by a `# width height` header line.  Labeled events, tracks, truth
-labels and center trajectories are plain CSV with a fixed header.  All
+labels and center trajectories are CSV files whose columns are declared
+once, as (name, kind) pairs, and that one reader and one writer serve.  All
 writers go through an atomic temp-file-and-rename step and format floats
 with repr(), so identical data produces identical bytes.
 """
@@ -117,7 +118,17 @@ def _event_line_no(path: str, index: int) -> int:
     return 0
 
 
-LABELED_HEADER = ["t", "x", "y", "p", "packet_id", "cluster_id"]
+# A CSV format: its (column name, kind) pairs in file order, kind being
+# float, int or str.  The header is the names joined by commas.
+Columns = Tuple[Tuple[str, type], ...]
+
+
+def _names(columns: Columns) -> List[str]:
+    return [name for name, _ in columns]
+
+
+LABELED_COLUMNS: Columns = (("t", float), ("x", int), ("y", int), ("p", int), ("packet_id", int), ("cluster_id", int))
+LABELED_HEADER = _names(LABELED_COLUMNS)
 
 
 @dataclass
@@ -144,30 +155,18 @@ class LabeledEvents:
 
 
 def write_labeled_events(path: str, rows: LabeledEvents) -> None:
-    lines = [",".join(LABELED_HEADER)]
-    for i in range(len(rows)):
-        lines.append(
-            f"{_fmt(rows.t[i])},{int(rows.x[i])},{int(rows.y[i])},{int(rows.p[i])},"
-            f"{int(rows.packet_id[i])},{int(rows.cluster_id[i])}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, LABELED_COLUMNS, [getattr(rows, name) for name in LABELED_HEADER])
 
 
 def read_labeled_events(path: str) -> LabeledEvents:
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    cols = _read_csv(path, LABELED_HEADER)
-    return LabeledEvents(
-        t=cols[0].astype(float),
-        x=cols[1].astype(int),
-        y=cols[2].astype(int),
-        p=cols[3].astype(int),
-        packet_id=cols[4].astype(int),
-        cluster_id=cols[5].astype(int),
-    )
+    return LabeledEvents(*_read_csv(path, LABELED_COLUMNS))
 
 
-TRACKS_HEADER = ["t", "track_id", "x", "y", "vx", "vy", "status", "raw_cx", "raw_cy"]
+TRACKS_COLUMNS: Columns = (
+    ("t", float), ("track_id", int), ("x", float), ("y", float), ("vx", float), ("vy", float),
+    ("status", str), ("raw_cx", float), ("raw_cy", float),
+)
+TRACKS_HEADER = _names(TRACKS_COLUMNS)
 
 
 @dataclass
@@ -184,113 +183,109 @@ class TrackRow:
 
 
 def write_tracks(path: str, rows: Sequence[TrackRow]) -> None:
-    lines = [",".join(TRACKS_HEADER)]
-    for r in rows:
-        lines.append(
-            f"{_fmt(r.t)},{r.track_id},{_fmt(r.x)},{_fmt(r.y)},{_fmt(r.vx)},{_fmt(r.vy)},"
-            f"{r.status},{_fmt(r.raw_cx)},{_fmt(r.raw_cy)}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, TRACKS_COLUMNS, [[getattr(r, name) for r in rows] for name in TRACKS_HEADER])
 
 
 def read_tracks(path: str) -> List[TrackRow]:
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    rows: List[TrackRow] = []
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRACKS_HEADER:
-            raise ParseError(path, 1, f"expected header {TRACKS_HEADER}, got {header}")
-        for line_no, parts in enumerate(reader, start=2):
-            if not parts:
-                continue
-            if len(parts) != len(TRACKS_HEADER):
-                raise ParseError(path, line_no, f"expected {len(TRACKS_HEADER)} fields, got {len(parts)}")
-            try:
-                rows.append(
-                    TrackRow(
-                        t=float(parts[0]),
-                        track_id=int(parts[1]),
-                        x=float(parts[2]),
-                        y=float(parts[3]),
-                        vx=float(parts[4]),
-                        vy=float(parts[5]),
-                        status=parts[6],
-                        raw_cx=float(parts[7]),
-                        raw_cy=float(parts[8]),
-                    )
-                )
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-    return rows
+    cols = _read_csv(path, TRACKS_COLUMNS)
+    return [TrackRow(*fields) for fields in zip(*(c.tolist() for c in cols))]
 
 
-TRUTH_HEADER = ["t", "x", "y", "p", "object_id"]
+TRUTH_COLUMNS: Columns = (("t", float), ("x", int), ("y", int), ("p", int), ("object_id", int))
+TRUTH_HEADER = _names(TRUTH_COLUMNS)
 
 
 def write_truth(path: str, events: Sequence[Event], labels: np.ndarray) -> None:
-    if len(events) != len(labels):
-        raise ValueError(f"{len(events)} events vs {len(labels)} labels")
-    lines = [",".join(TRUTH_HEADER)]
-    for e, lab in zip(events, labels):
-        lines.append(f"{_fmt(e.t)},{e.x},{e.y},{int(e.p)},{int(lab)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    cols = [[e.t for e in events], [e.x for e in events], [e.y for e in events], [e.p for e in events], labels]
+    _write_csv(path, TRUTH_COLUMNS, cols)
 
 
 def read_truth(path: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Columns (t, x, y, p, object_id) of a truth file."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    cols = _read_csv(path, TRUTH_HEADER)
-    return (
-        cols[0].astype(float),
-        cols[1].astype(int),
-        cols[2].astype(int),
-        cols[3].astype(int),
-        cols[4].astype(int),
-    )
+    return tuple(_read_csv(path, TRUTH_COLUMNS))
 
 
-CENTERS_HEADER = ["t", "object_id", "cx", "cy"]
+CENTERS_COLUMNS: Columns = (("t", float), ("object_id", int), ("cx", float), ("cy", float))
+CENTERS_HEADER = _names(CENTERS_COLUMNS)
 
 
 def write_centers(path: str, t: np.ndarray, obj: np.ndarray, xy: np.ndarray) -> None:
-    lines = [",".join(CENTERS_HEADER)]
-    for i in range(len(t)):
-        lines.append(f"{_fmt(t[i])},{int(obj[i])},{_fmt(xy[i, 0])},{_fmt(xy[i, 1])}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, CENTERS_COLUMNS, [t, obj, xy[:, 0], xy[:, 1]])
 
 
 def read_centers(path: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columns (t, object_id, xy) of a centers file."""
+    t, obj, cx, cy = _read_csv(path, CENTERS_COLUMNS)
+    return t, obj, np.stack([cx, cy], axis=1)
+
+
+_DTYPE = {float: np.float64, int: np.int64}
+_TEXT = {float: repr, int: str}
+
+
+def _parse(kind: type, values: List[str]) -> np.ndarray:
+    """One column's text as an array; a value `kind` rejects, or an int
+    outside int64, raises ValueError or OverflowError."""
+    if kind is str:
+        return np.array(values, dtype=str)
+    return np.fromiter(map(kind, values), dtype=_DTYPE[kind], count=len(values))
+
+
+def _read_csv(path: str, columns: Columns) -> List[np.ndarray]:
+    """The columns of a CSV file with header `columns`, each parsed as its kind.
+
+    Blank lines are skipped.  A wrong header, a wrong field count or a value
+    its column's kind rejects (`3.7`, `nan` or `1e20` in an int column, say)
+    raises ParseError naming the line.
+    """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
-    cols = _read_csv(path, CENTERS_HEADER)
-    xy = np.stack([cols[2].astype(float), cols[3].astype(float)], axis=1)
-    return cols[0].astype(float), cols[1].astype(int), xy
-
-
-def _read_csv(path: str, expected_header: List[str]) -> List[np.ndarray]:
+    header = _names(columns)
     with open(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected_header:
-            raise ParseError(path, 1, f"expected header {expected_header}, got {header}")
-        raw: List[List[str]] = []
-        for line_no, parts in enumerate(reader, start=2):
-            if not parts:
-                continue
-            if len(parts) != len(expected_header):
-                raise ParseError(path, line_no, f"expected {len(expected_header)} fields, got {len(parts)}")
-            raw.append(parts)
-    if not raw:
-        return [np.zeros(0) for _ in expected_header]
-    arr = np.array(raw)
-    out = []
-    for c in range(len(expected_header)):
         try:
-            out.append(arr[:, c].astype(float))
-        except ValueError as exc:
-            raise ParseError(path, 0, f"non-numeric value in column {expected_header[c]}") from exc
+            if (found := next(reader, None)) != header:
+                raise ParseError(path, 1, f"expected header {header}, got {found}")
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ParseError(path, reader.line_num, str(exc)) from exc
+    # rows[i] came from line i + 2 unless a quoted field spanned lines,
+    # which no format allows: report the first such row.
+    if reader.line_num != len(rows) + 1:
+        i = next(i for i, r in enumerate(rows) if any("\n" in f for f in r))
+        raise ParseError(path, i + 2, "field spans lines")
+    sizes = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    bad = np.flatnonzero((sizes != len(columns)) & (sizes != 0))
+    if bad.size:
+        raise ParseError(path, int(bad[0]) + 2, f"expected {len(columns)} fields, got {sizes[bad[0]]}")
+    line_nos = np.flatnonzero(sizes) + 2
+    if len(line_nos) < len(rows):
+        rows = [r for r in rows if r]
+    out = []
+    for c, (name, kind) in enumerate(columns):
+        values = [r[c] for r in rows]
+        try:
+            out.append(_parse(kind, values))
+        except (ValueError, OverflowError):
+            for i, v in enumerate(values):
+                try:
+                    _parse(kind, [v])
+                except (ValueError, OverflowError) as exc:
+                    raise ParseError(path, int(line_nos[i]), f"{name} must be {kind.__name__}, got {v!r}") from exc
     return out
+
+
+def _write_csv(path: str, columns: Columns, data: Sequence[Sequence]) -> None:
+    """Write equal-length columns `data` as a CSV with header `columns`.
+
+    Each column is converted to its kind and formatted once: floats with
+    repr (so they read back exactly), ints with str, strings as they are.
+    """
+    lengths = {len(col) for col in data}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal length {sorted(lengths)}")
+    # Lazy maps: a list per column would hold one Python object per value
+    # and raise the peak memory of whoever writes a large table.
+    text = [col if kind is str else map(_TEXT[kind], map(kind, col)) for (_, kind), col in zip(columns, data)]
+    lines = [",".join(_names(columns)), *map(",".join, zip(*text))]
+    atomic_write_text(path, "\n".join(lines) + "\n")

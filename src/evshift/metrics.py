@@ -144,23 +144,15 @@ def adjusted_rand_index(pred, truth) -> ARIResult:
     labelings put everything in one cluster) the score is defined as 1.0
     and flagged degenerate.
     """
-    pred, truth = drop_noise(pred, truth)
-    if len(pred) == 0:
-        raise EmptyAlignmentError("no events left after noise exclusion")
-    cont = contingency(pred, truth)
-    m = cont.matrix
-    n = cont.n
-    sum_ij = _pairs(m.reshape(-1))
-    sum_a = _pairs(m.sum(axis=1))
-    sum_b = _pairs(m.sum(axis=0))
-    all_pairs = n * (n - 1) // 2
-    if all_pairs == 0:
+    pc = pair_counts(pred, truth)
+    if pc.total == 0:
         return ARIResult(value=1.0, degenerate=True)
-    expected = sum_a * sum_b / all_pairs
+    sum_a, sum_b = pc.tp + pc.fp, pc.tp + pc.fn
+    expected = sum_a * sum_b / pc.total
     maximum = 0.5 * (sum_a + sum_b)
     if maximum == expected:
         return ARIResult(value=1.0, degenerate=True)
-    return ARIResult(value=(sum_ij - expected) / (maximum - expected))
+    return ARIResult(value=(pc.tp - expected) / (maximum - expected))
 
 
 @dataclass

@@ -193,6 +193,15 @@ def test_exit_code_parse_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_code_non_integer_label(tmp_path, capsys):
+    bad = tmp_path / "lab.csv"
+    for value in ("3.7", "nan", "1e20"):
+        bad.write_text(f"t,x,y,p,packet_id,cluster_id\n0.1,1,2,0,0,0\n0.2,1,2,0,0,{value}\n")
+        assert main(["track", "--in", str(bad), "--out", str(tmp_path / "tracks.csv")]) == 4
+        assert f"{bad}:3: cluster_id" in capsys.readouterr().err
+    assert not (tmp_path / "tracks.csv").exists()
+
+
 def test_exit_code_stream_order(tmp_path, capsys):
     bad = tmp_path / "disorder.txt"
     bad.write_text("# 10 10\n0.2 1 1 1\n0.1 2 2 0\n")

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from evshift.errors import ContractViolationError, StreamOrderError
+from evshift.errors import ContractViolationError, OutOfBoundsError, StreamOrderError
 from evshift.events import Event, SensorGeometry
 from evshift.filtering import FilterParams, filter_stream
 
@@ -135,6 +135,21 @@ def test_order_violation_raises():
     with pytest.raises(StreamOrderError) as info:
         list(filter_stream(events, FilterParams(), geom))
     assert info.value.index == 1
+
+
+def test_event_outside_sensor_raises():
+    geom = SensorGeometry(4, 4)
+    inside = Event(t=0.101, x=3, y=1, p=True)
+    assert list(filter_stream([inside], FilterParams(), geom)) == []
+    # At x == width the event would land in the map's padding and support
+    # its in-sensor neighbour.
+    with pytest.raises(OutOfBoundsError) as info:
+        list(filter_stream([Event(t=0.1, x=4, y=1, p=True), inside], FilterParams(), geom))
+    assert "event 0 at (4, 1) outside sensor 4x4" in str(info.value)
+    for x, y in ((9, 1), (-1, 0), (1, -2), (0, 40)):
+        with pytest.raises(OutOfBoundsError) as info:
+            list(filter_stream([inside, Event(t=0.2, x=x, y=y, p=True)], FilterParams(), geom))
+        assert f"event 1 at ({x}, {y})" in str(info.value)
 
 
 def test_param_validation():

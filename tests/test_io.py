@@ -1,8 +1,12 @@
+import dataclasses
+import math
 import os
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evshift.errors import ParseError, StreamOrderError
 from evshift.events import Event, SensorGeometry
@@ -207,8 +211,123 @@ def test_csv_error_reports_line(tmp_path):
         read_labeled_events(str(path))
     assert info.value.line_no == 2
     path.write_text("t,x,y,p,packet_id,cluster_id\n0.1,1,2,0,0,zzz\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         read_labeled_events(str(path))
+    assert info.value.line_no == 2
+    # blank lines count as lines but not as rows
+    for bad_row in ("0.3,1,2,0,0", "0.3,1,2,0,0,zzz", "zzz,1,2,0,0,1"):
+        path.write_text(f"t,x,y,p,packet_id,cluster_id\n0.1,1,2,0,0,1\n\n{bad_row}\n")
+        with pytest.raises(ParseError) as info:
+            read_labeled_events(str(path))
+        assert info.value.line_no == 4
+        assert f"{path}:4:" in str(info.value)
+    # a quoted field across lines would shift every later line number
+    path.write_text('t,x,y,p,packet_id,cluster_id\n0.1,1,2,0,0,1\n0.2,1,2,0,0,"1\n2"\nzzz,1,2,0,0,1\n')
+    with pytest.raises(ParseError) as info:
+        read_labeled_events(str(path))
+    assert info.value.line_no == 3
+
+
+# Each CSV reader with its header and a row template whose `{}` sits in an
+# int column.
+INT_FIELD_FILES = {
+    "labeled": (read_labeled_events, "t,x,y,p,packet_id,cluster_id", "0.1,1,2,0,0,{}"),
+    "tracks": (read_tracks, "t,track_id,x,y,vx,vy,status,raw_cx,raw_cy", "0.1,{},1.0,2.0,0.0,0.0,tentative,nan,nan"),
+    "truth": (read_truth, "t,x,y,p,object_id", "0.1,{},2,0,3"),
+    "centers": (read_centers, "t,object_id,cx,cy", "0.1,{},1.0,2.0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INT_FIELD_FILES))
+def test_int_columns_reject_non_integers(tmp_path, name):
+    reader, header, row = INT_FIELD_FILES[name]
+    path = tmp_path / "f.csv"
+    path.write_text(f"{header}\n{row.format(-7)}\n{row.format(2**63 - 1)}\n")
+    reader(str(path))
+    for bad in ("3.7", "nan", "1e20", "7.0", str(2**63)):
+        path.write_text(f"{header}\n{row.format(7)}\n\n{row.format(bad)}\n")
+        with pytest.raises(ParseError) as info:
+            reader(str(path))
+        assert info.value.line_no == 4
+        assert repr(bad) in str(info.value)
+
+
+def _ints():
+    # Small and negative ids, and ints beyond 2**53 that float64 cannot hold.
+    return st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1), st.just(2**53 + 1))
+
+
+def _floats():
+    return st.one_of(st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+
+
+def _write_labeled(path, cols):
+    dtypes = [float, np.int64, np.int64, np.int64, np.int64, np.int64]
+    write_labeled_events(path, LabeledEvents(*(np.array(c, dtype=d) for c, d in zip(cols, dtypes))))
+
+
+def _read_labeled(path):
+    back = read_labeled_events(path)
+    return [back.t, back.x, back.y, back.p, back.packet_id, back.cluster_id]
+
+
+def _write_tracks(path, cols):
+    write_tracks(path, [TrackRow(*r) for r in zip(*cols)])
+
+
+def _read_tracks(path):
+    rows = read_tracks(path)
+    return [[getattr(r, f.name) for r in rows] for f in dataclasses.fields(TrackRow)]
+
+
+def _write_truth(path, cols):
+    t, x, y, p, obj = cols
+    write_truth(path, [Event(*e) for e in zip(t, x, y, p)], np.array(obj, dtype=np.int64))
+
+
+def _write_centers(path, cols):
+    t, obj, cx, cy = cols
+    write_centers(path, np.array(t, dtype=float), np.array(obj, dtype=np.int64), np.column_stack([cx, cy]))
+
+
+def _read_centers(path):
+    t, obj, xy = read_centers(path)
+    return [t, obj, xy[:, 0], xy[:, 1]]
+
+
+STRATEGIES = {float: _floats(), int: _ints(), str: st.sampled_from(["tentative", "confirmed", "dead"])}
+# Event rejects a negative or non-finite timestamp; -0.0 passes that check.
+EVENT_TIMES = st.one_of(st.floats(0, allow_infinity=False), st.just(-0.0))
+# name -> (column kinds, writer from columns, reader to columns)
+FORMATS = {
+    "labeled": ((float, int, int, int, int, int), _write_labeled, _read_labeled),
+    "tracks": ((float, int, float, float, float, float, str, float, float), _write_tracks, _read_tracks),
+    "truth": ((float, int, int, int, int), _write_truth, lambda path: list(read_truth(path))),
+    "centers": ((float, int, float, float), _write_centers, _read_centers),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_csv_round_trip_is_exact(tmp_path_factory, name, data):
+    kinds, write, read = FORMATS[name]
+    strategies = [EVENT_TIMES if (name, i) == ("truth", 0) else STRATEGIES[k] for i, k in enumerate(kinds)]
+    n = data.draw(st.integers(0, 6))
+    cols = [data.draw(st.lists(s, min_size=n, max_size=n)) for s in strategies]
+    directory = tmp_path_factory.mktemp(name)
+    first, second = directory / "a.csv", directory / "b.csv"
+    write(str(first), cols)
+    back = read(str(first))
+    for kind, drawn, got in zip(kinds, cols, back):
+        if isinstance(got, np.ndarray):
+            assert got.dtype.kind == {float: "f", int: "i"}[kind]
+            got = got.tolist()
+        assert all(type(v) is kind for v in got)
+        # repr tells -0.0 from 0.0 and matches nan with nan
+        assert list(map(repr, got)) == list(map(repr, drawn))
+    write(str(second), back)
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
