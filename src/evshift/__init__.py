@@ -31,8 +31,10 @@ from .errors import (
 from .events import (
     DecayParams,
     Event,
+    EventStream,
     Packet,
     SensorGeometry,
+    as_stream,
     feature_matrix,
     make_packet,
     packetize,

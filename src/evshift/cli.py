@@ -12,8 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from collections import defaultdict, deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .errors import (
     ParseError,
     StreamOrderError,
 )
-from .events import DecayParams, SensorGeometry, feature_matrix, packetize
+from .events import DecayParams, SensorGeometry, as_stream, feature_matrix, packetize
 from .filtering import filter_stream
 from .io import (
     LabeledEvents,
@@ -101,10 +100,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     events, geom = read_events(args.input)
     params = cfg.pipeline_params().filter_params
-    if params is None:
-        kept = list(events)
-    else:
-        kept = list(filter_stream(events, params, geom))
+    kept = events if params is None else as_stream(filter_stream(events, params, geom))
     write_events(args.out, kept, geom)
     print(f"events_in = {len(events)}")
     print(f"events_out = {len(kept)}")
@@ -142,24 +138,27 @@ def cmd_track(args: argparse.Namespace) -> int:
     return 0
 
 
-def _truth_labels_for(rows: LabeledEvents, truth_path: str) -> np.ndarray:
-    """Per-row true object ids, matched by exact (t, x, y, p) identity."""
-    tt, tx, ty, tp, tobj = read_truth(truth_path)
+def _truth_labels_for(rows: LabeledEvents, truth: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-row true object ids from the truth columns (t, x, y, p, object_id): the k-th
+    prediction of a (t, x, y, p) key takes the k-th truth row of that key, in file order."""
+    tt, tx, ty, tp, tobj = truth
     if len(tt) == 0 or len(rows) == 0:
         raise EmptyAlignmentError("no rows to align between predictions and truth")
-    queues: Dict[Tuple[float, int, int, int], deque] = defaultdict(deque)
-    for i in range(len(tt)):
-        queues[(float(tt[i]), int(tx[i]), int(ty[i]), int(tp[i]))].append(int(tobj[i]))
-    out = np.empty(len(rows), dtype=int)
-    unmatched = 0
-    for i in range(len(rows)):
-        key = (float(rows.t[i]), int(rows.x[i]), int(rows.y[i]), int(rows.p[i]))
-        q = queues.get(key)
-        if not q:
-            unmatched += 1
-            out[i] = NOISE
-            continue
-        out[i] = q.popleft()
+    n = len(tt)
+    keys = [np.concatenate(pair) for pair in ((tt, rows.t), (tx, rows.x), (ty, rows.y), (tp, rows.p))]
+    # lexsort is stable, so within a key the truth rows come first and
+    # each side keeps its file order.
+    order = np.lexsort(keys[::-1])
+    new_key = np.r_[True, np.any([k[order][1:] != k[order][:-1] for k in keys], axis=0)]
+    starts = np.flatnonzero(new_key)
+    group = np.cumsum(new_key) - 1
+    is_truth = order < n
+    truth_count = np.add.reduceat(is_truth.astype(int), starts)[group]
+    rank = np.arange(len(order)) - starts[group] - truth_count  # k of the k-th prediction of its key
+    matched = ~is_truth & (rank < truth_count)
+    out = np.full(len(rows), NOISE, dtype=int)
+    out[order[matched] - n] = tobj[order[(starts[group] + rank)[matched]]]
+    unmatched = len(rows) - int(matched.sum())
     if unmatched == len(rows):
         raise EmptyAlignmentError("no predicted event matches any truth event")
     if unmatched > 0:
@@ -171,12 +170,14 @@ def _truth_labels_for(rows: LabeledEvents, truth_path: str) -> np.ndarray:
 
 def cmd_eval_cluster(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
+    if args.kmeans and not args.geometry:
+        raise ContractViolationError("--kmeans needs --geometry WxH to rebuild features")
+    geom = _parse_geometry(args.geometry) if args.geometry else None
     rows = read_labeled_events(args.pred)
-    truth = _truth_labels_for(rows, args.truth)
+    truth = _truth_labels_for(rows, read_truth(args.truth))
     f_scores, precisions, recalls, aris, nmis, km_scores = [], [], [], [], [], []
     pooled_pred: List[np.ndarray] = []
     pooled_truth: List[np.ndarray] = []
-    geom = _parse_geometry(args.geometry) if args.geometry else None
     skipped = 0
     offset = 0
     for pid, idx in rows.packet_groups():
@@ -186,13 +187,9 @@ def cmd_eval_cluster(args: argparse.Namespace) -> int:
         if not keep.any():
             skipped += 1
             continue
-        try:
-            prf = precision_recall_f(pred_l, true_l, beta=cfg.beta)
-            ari = adjusted_rand_index(pred_l, true_l)
-            nmi = normalized_mutual_information(pred_l, true_l)
-        except EmptyAlignmentError:
-            skipped += 1
-            continue
+        prf = precision_recall_f(pred_l, true_l, beta=cfg.beta)
+        ari = adjusted_rand_index(pred_l, true_l)
+        nmi = normalized_mutual_information(pred_l, true_l)
         f_scores.append(prf.f_score)
         precisions.append(prf.precision)
         recalls.append(prf.recall)
@@ -206,8 +203,6 @@ def cmd_eval_cluster(args: argparse.Namespace) -> int:
         pooled_truth.append(shift_t)
         offset += int(max(pred_l.max(), true_l.max()) + 1)
         if args.kmeans:
-            if geom is None:
-                raise ContractViolationError("--kmeans needs --geometry WxH to rebuild features")
             feats = feature_matrix(
                 rows.t[idx], rows.x[idx], rows.y[idx], rows.p[idx], geom, DecayParams(tau=cfg.tau)
             )
@@ -377,33 +372,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code per error class; an error takes the first class it is an instance of.
+EXIT_CODES = (
+    (FileNotFoundError, 3), (ParseError, 4), (StreamOrderError, 5), (NumericalError, 7),
+    (EmptyAlignmentError, 8), (ContractViolationError, 6), (EvshiftError, 1),
+)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc}", file=sys.stderr)
-        return 3
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except StreamOrderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 7
-    except EmptyAlignmentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 8
-    except ContractViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except EvshiftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    except (FileNotFoundError, EvshiftError) as exc:
+        code = next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
+        print(f"error: {'file not found: ' if code == 3 else ''}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ its value.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -45,6 +46,12 @@ class RunConfig:
     beta: float = 1.0
     fps: float = 30.0
     capacity: Optional[float] = None
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ContractViolationError(f"{f.name} must be finite, got {value}")
 
     def resolved_merge_radius(self) -> float:
         return self.bandwidth / 2.0 if self.merge_radius is None else self.merge_radius

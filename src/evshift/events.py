@@ -1,25 +1,28 @@
-"""Core event model: sensor events, geometry, packets and the 4D feature map.
+"""Core event model: sensor events, streams, geometry, packets and the 4D feature map.
 
-An event stream is clustered packet by packet.  Each packet of consecutive
-events is mapped into a normalized feature space with four coordinates:
-column, row, polarity and an exponentially decayed age.  All four components
-live in [0, 1], so a single scalar bandwidth is meaningful across dimensions.
-The decay is measured against the newest timestamp in the packet, which makes
-the feature map a pure per-packet function of the raw events.
+A stream is held as four columns in an EventStream, from reader or generator
+to writers; Event objects are built only on demand.  The stream is clustered
+packet by packet.  Each packet of consecutive events is mapped into a
+normalized feature space with four coordinates: column, row, polarity and an
+exponentially decayed age.  All four components live in [0, 1], so a single
+scalar bandwidth is meaningful across dimensions.  The decay is measured
+against the newest timestamp in the packet, which makes the feature map a
+pure per-packet function of the raw events.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
 from .errors import ContractViolationError, OutOfBoundsError, StreamOrderError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One asynchronous sensor sample.
 
@@ -48,8 +51,9 @@ class SensorGeometry:
         if self.width <= 0 or self.height <= 0:
             raise ContractViolationError(f"sensor geometry must be positive, got {self.width}x{self.height}")
 
-    def contains(self, x: int, y: int) -> bool:
-        return 0 <= x < self.width and 0 <= y < self.height
+    def contains(self, x, y):
+        """Whether pixel (x, y) lies on the sensor; elementwise for arrays."""
+        return (0 <= x) & (x < self.width) & (0 <= y) & (y < self.height)
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,7 @@ def feature_matrix(t, x, y, p, geom: SensorGeometry, params: DecayParams) -> np.
     t = np.asarray(t, dtype=float)
     x = np.asarray(x)
     y = np.asarray(y)
-    outside = (x < 0) | (x >= geom.width) | (y < 0) | (y >= geom.height)
+    outside = ~geom.contains(x, y)
     if outside.any():
         i = int(np.argmax(outside))
         raise OutOfBoundsError(f"event at ({x[i]}, {y[i]}) outside sensor {geom.width}x{geom.height}")
@@ -91,14 +95,56 @@ def feature_matrix(t, x, y, p, geom: SensorGeometry, params: DecayParams) -> np.
 
 
 @dataclass(frozen=True, eq=False)
-class Packet:
-    """A bounded, time-ordered batch of events as parallel columns.
-
-    t, x, y and p are the event fields as arrays and features is their
-    (n, 4) feature matrix.  Built by make_packet.
+class EventStream(Sequence[Event]):
+    """An event stream as four equal-length columns: t float64, x, y and p
+    int64 (Event does not bound p).  As a Sequence of Event, stream[i] and
+    iteration build Events on demand; a slice or a boolean mask gives an
+    EventStream.  The sensor geometry is passed alongside, never stored.
     """
 
-    events: List[Event]
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    p: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("t", np.float64), ("x", np.int64), ("y", np.int64), ("p", np.int64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if not len(self.t) == len(self.x) == len(self.y) == len(self.p):
+            raise ContractViolationError("event columns must have equal length")
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, key: Union[int, slice, np.ndarray]) -> Union[Event, "EventStream"]:
+        if isinstance(key, (int, np.integer)):
+            return Event(float(self.t[key]), int(self.x[key]), int(self.y[key]), int(self.p[key]))
+        return EventStream(self.t[key], self.x[key], self.y[key], self.p[key])
+
+    def __iter__(self) -> Iterator[Event]:
+        return map(Event, self.t.tolist(), self.x.tolist(), self.y.tolist(), self.p.tolist())
+
+    def first_disorder(self) -> int:
+        """Index of the first event older than the one before it, or len(self)."""
+        back = self.t[1:] < self.t[:-1]
+        return int(np.argmax(back)) + 1 if back.any() else len(self)
+
+
+def as_stream(events: Iterable[Event]) -> EventStream:
+    """A stream as it is, or any other iterable of Event read into columns."""
+    if isinstance(events, EventStream):
+        return events
+    events = list(events)
+    return EventStream(
+        [e.t for e in events], [e.x for e in events], [e.y for e in events], [e.p for e in events]
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class Packet:
+    """A bounded, time-ordered batch of events: the t, x, y and p columns
+    and their (n, 4) feature matrix.  Built by make_packet."""
+
     t: np.ndarray
     x: np.ndarray
     y: np.ndarray
@@ -106,7 +152,12 @@ class Packet:
     features: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.t)
+
+    @property
+    def events(self) -> EventStream:
+        """The packet's events, a view of its columns."""
+        return EventStream(self.t, self.x, self.y, self.p)
 
     @property
     def t_ref(self) -> float:
@@ -118,16 +169,12 @@ class Packet:
         return self.features
 
 
-def make_packet(events: Sequence[Event], geom: SensorGeometry, params: DecayParams) -> Packet:
+def make_packet(events: Iterable[Event], geom: SensorGeometry, params: DecayParams) -> Packet:
     """Build a packet from already-ordered events, computing all features."""
-    events = list(events)
-    if not events:
+    s = as_stream(events)
+    if not len(s):
         raise ContractViolationError("cannot build a packet from zero events")
-    t = np.array([e.t for e in events], dtype=float)
-    x = np.array([e.x for e in events], dtype=int)
-    y = np.array([e.y for e in events], dtype=int)
-    p = np.array([e.p for e in events], dtype=int)
-    return Packet(events, t, x, y, p, feature_matrix(t, x, y, p, geom, params))
+    return Packet(s.t, s.x, s.y, s.p, feature_matrix(s.t, s.x, s.y, s.p, geom, params))
 
 
 def packetize(
@@ -143,15 +190,8 @@ def packetize(
     """
     if size < 1:
         raise ContractViolationError(f"packet size must be >= 1, got {size}")
-    buffer: List[Event] = []
-    prev_t = -math.inf
-    for i, e in enumerate(stream):
-        if e.t < prev_t:
-            raise StreamOrderError(i)
-        prev_t = e.t
-        buffer.append(e)
-        if len(buffer) == size:
-            yield make_packet(buffer, geom, params)
-            buffer = []
-    if buffer:
-        yield make_packet(buffer, geom, params)
+    stream = as_stream(stream)
+    if (i := stream.first_disorder()) < len(stream):
+        raise StreamOrderError(i)
+    for start in range(0, len(stream), size):
+        yield make_packet(stream[start : start + size], geom, params)

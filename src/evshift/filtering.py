@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ContractViolationError, OutOfBoundsError, StreamOrderError
-from .events import Event, SensorGeometry
+from .events import Event, EventStream, SensorGeometry, as_stream
 
 
 @dataclass(frozen=True)
@@ -34,37 +34,42 @@ def filter_stream(
     stream: Iterable[Event],
     params: FilterParams,
     geom: SensorGeometry,
-) -> Iterator[Event]:
-    """Yield supported events in order, checking support against raw history.
+) -> EventStream:
+    """The supported events in order, support checked against raw history.
 
     Support requires 0 < t - t' <= window, so simultaneous neighbors do not
     support each other.  Two timestamps are kept per pixel (latest, and latest
     strictly older one) so that equal-timestamp arrivals at a pixel cannot
-    mask an older supporting event there.  An event outside the sensor
-    raises OutOfBoundsError naming its stream index: in the padding it
-    could otherwise support its in-sensor neighbours.
+    mask an older supporting event there.  The first decreasing timestamp
+    (StreamOrderError) or event outside the sensor (OutOfBoundsError, as in
+    the padding it could support its neighbours) raises, naming its index.
     """
-    r = params.radius
-    # Pad by radius so neighborhood slices never need bounds checks.
+    stream = as_stream(stream)
+    t, x, y, n = stream.t, stream.x, stream.y, len(stream)
+    outside = ~geom.contains(x, y)
+    i = int(np.argmax(outside)) if outside.any() else n
+    if (back := stream.first_disorder()) <= i and back < n:
+        raise StreamOrderError(back)
+    if i < n:
+        raise OutOfBoundsError(f"event {i} at ({x[i]}, {y[i]}) outside sensor {geom.width}x{geom.height}")
+    r, window = params.radius, params.window
+    d = 2 * r + 1
+    # Pad by radius so neighborhood slices never need bounds checks: the
+    # neighbourhood of pixel (x, y) is [y : y + d, x : x + d].
     shape = (geom.height + 2 * r, geom.width + 2 * r)
     last = np.full(shape, -math.inf)
     prev = np.full(shape, -math.inf)
-    prev_t = -math.inf
-    for i, e in enumerate(stream):
-        if e.t < prev_t:
-            raise StreamOrderError(i)
-        prev_t = e.t
-        if not geom.contains(e.x, e.y):
-            raise OutOfBoundsError(f"event {i} at ({e.x}, {e.y}) outside sensor {geom.width}x{geom.height}")
-        y, x = e.y + r, e.x + r
-        view_last = last[y - r : y + r + 1, x - r : x + r + 1]
+    keep = []
+    for e_t, e_x, e_y in zip(t.tolist(), x.tolist(), y.tolist()):
+        view_last = last[e_y : e_y + d, e_x : e_x + d]
         m = view_last.max()
-        if m >= e.t:
+        if m >= e_t:
             # Equal timestamps present; fall back to the strictly older entries.
-            view_prev = prev[y - r : y + r + 1, x - r : x + r + 1]
-            m = np.where(view_last < e.t, view_last, view_prev).max()
-        if 0 < e.t - m <= params.window:
-            yield e
-        if e.t > last[y, x]:
-            prev[y, x] = last[y, x]
-            last[y, x] = e.t
+            view_prev = prev[e_y : e_y + d, e_x : e_x + d]
+            m = np.where(view_last < e_t, view_last, view_prev).max()
+        keep.append(0 < e_t - m <= window)
+        cy, cx = e_y + r, e_x + r
+        if e_t > last[cy, cx]:
+            prev[cy, cx] = last[cy, cx]
+            last[cy, cx] = e_t
+    return stream[np.array(keep, dtype=bool)]

@@ -11,16 +11,15 @@ with repr(), so identical data produces identical bytes.
 from __future__ import annotations
 
 import csv
-import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ContractViolationError, ParseError, StreamOrderError
-from .events import Event, SensorGeometry
+from .events import Event, EventStream, SensorGeometry, as_stream
 
 
 def _fmt(v: float) -> str:
@@ -41,81 +40,74 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def write_events(path: str, events: Sequence[Event], geom: SensorGeometry) -> None:
-    lines = [f"# {geom.width} {geom.height}"]
-    for e in events:
-        lines.append(f"{_fmt(e.t)} {e.x} {e.y} {int(e.p)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_events(path: str, events: Iterable[Event], geom: SensorGeometry) -> None:
+    s = as_stream(events)
+    _write_csv(path, EVENT_COLUMNS, [s.t, s.x, s.y, s.p], header=f"# {geom.width} {geom.height}", sep=" ")
 
 
-def read_events(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[List[Event], SensorGeometry]:
-    """Parse an event stream file.
+def read_events(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[EventStream, SensorGeometry]:
+    """Parse an event stream file into columns.
 
     The `# width height` header wins over the geom argument; without either
-    the file is rejected.  Polarity must be 0 or 1 (ParseError otherwise) and
-    timestamps must not decrease (StreamOrderError, naming file and line).
+    the file is rejected.  A malformed line, a timestamp not finite and >= 0
+    or a polarity not 0 or 1 is a ParseError and a decreasing timestamp a
+    StreamOrderError, naming file and line; the earliest line wins.  Only
+    then are events outside the sensor rejected (ParseError).
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
-    events: List[Event] = []
-    file_geom: Optional[SensorGeometry] = None
-    prev_t = -math.inf
+    ts, xs, ys, ps, line_of = [], [], [], [], []  # the fields and the line of each event
+    file_geom = malformed = None
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+            parts = raw.split()
+            if not parts:
                 continue
-            if line.startswith("#"):
-                parts = line[1:].split()
+            if parts[0][0] == "#":
+                parts = raw.strip()[1:].split()
                 if file_geom is None and len(parts) == 2:
                     try:
                         file_geom = SensorGeometry(int(parts[0]), int(parts[1]))
                     except (ValueError, ContractViolationError) as exc:
-                        raise ParseError(path, line_no, f"bad geometry header: {exc}") from exc
+                        malformed = ParseError(path, line_no, f"bad geometry header: {exc}")
+                        break
                 continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ParseError(path, line_no, f"expected 4 fields, got {len(parts)}")
             try:
-                t, p = float(parts[0]), int(parts[3])
-                e = Event(t=t, x=int(parts[1]), y=int(parts[2]), p=p)
-            except (ValueError, ContractViolationError) as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-            if p != 0 and p != 1:
-                raise ParseError(path, line_no, f"polarity must be 0 or 1, got {parts[3]}")
-            if t < prev_t:
-                raise StreamOrderError(
-                    len(events), f"{path}:{line_no}: timestamp {parts[0]} is earlier than the previous event's"
-                )
-            prev_t = t
-            events.append(e)
+                if len(parts) != 4:
+                    raise ValueError(f"expected 4 fields, got {len(parts)}")
+                t, x, y, p = float(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
+            except ValueError as exc:
+                malformed = ParseError(path, line_no, str(exc))
+                break
+            ts.append(t)
+            xs.append(x)
+            ys.append(y)
+            ps.append(p)
+            line_of.append(line_no)
+    # The per-line rules on the rows before the malformed line, if any.  An int beyond
+    # int64 stays exact or becomes a float, and fails the polarity or the sensor check.
+    t, x, y, p = np.array(ts, dtype=np.float64), np.array(xs), np.array(ys), np.array(ps)
+    bad_t = ~np.isfinite(t) | (t < 0)
+    bad_p = (p != 0) & (p != 1)
+    back = np.zeros(len(t), dtype=bool)
+    back[1:] = t[1:] < t[:-1]
+    if (failing := bad_t | bad_p | back).any():
+        i = int(np.argmax(failing))
+        if bad_t[i]:
+            raise ParseError(path, line_of[i], f"event timestamp must be finite and >= 0, got {t[i]}")
+        if bad_p[i]:
+            raise ParseError(path, line_of[i], f"polarity must be 0 or 1, got {p[i]}")
+        raise StreamOrderError(i, f"{path}:{line_of[i]}: timestamp {_fmt(t[i])} is earlier than the previous event's")
+    if malformed:
+        raise malformed
     use_geom = file_geom or geom
     if use_geom is None:
         raise ParseError(path, 0, "no geometry header and no fallback geometry given")
-    for e in events:
-        if not use_geom.contains(e.x, e.y):
-            index = next(i for i, other in enumerate(events) if other is e)
-            raise ParseError(
-                path, _event_line_no(path, index), f"event at ({e.x}, {e.y}) outside {use_geom.width}x{use_geom.height}"
-            )
-    return events, use_geom
-
-
-def _event_line_no(path: str, index: int) -> int:
-    """1-based line number of the event at stream position `index`.
-
-    Re-reads the file, so only error paths pay for it; blank and `#` lines
-    are skipped exactly as read_events skips them.  0 if the file holds
-    fewer events.
-    """
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                if index == 0:
-                    return line_no
-                index -= 1
-    return 0
+    outside = ~use_geom.contains(x, y)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ParseError(path, line_of[i], f"event at ({x[i]}, {y[i]}) outside {use_geom.width}x{use_geom.height}")
+    return EventStream(t, x, y, p), use_geom
 
 
 # A CSV format: its (column name, kind) pairs in file order, kind being
@@ -127,7 +119,9 @@ def _names(columns: Columns) -> List[str]:
     return [name for name, _ in columns]
 
 
-LABELED_COLUMNS: Columns = (("t", float), ("x", int), ("y", int), ("p", int), ("packet_id", int), ("cluster_id", int))
+EVENT_COLUMNS: Columns = (("t", float), ("x", int), ("y", int), ("p", int))
+
+LABELED_COLUMNS: Columns = EVENT_COLUMNS + (("packet_id", int), ("cluster_id", int))
 LABELED_HEADER = _names(LABELED_COLUMNS)
 
 
@@ -191,13 +185,13 @@ def read_tracks(path: str) -> List[TrackRow]:
     return [TrackRow(*fields) for fields in zip(*(c.tolist() for c in cols))]
 
 
-TRUTH_COLUMNS: Columns = (("t", float), ("x", int), ("y", int), ("p", int), ("object_id", int))
+TRUTH_COLUMNS: Columns = EVENT_COLUMNS + (("object_id", int),)
 TRUTH_HEADER = _names(TRUTH_COLUMNS)
 
 
-def write_truth(path: str, events: Sequence[Event], labels: np.ndarray) -> None:
-    cols = [[e.t for e in events], [e.x for e in events], [e.y for e in events], [e.p for e in events], labels]
-    _write_csv(path, TRUTH_COLUMNS, cols)
+def write_truth(path: str, events: Iterable[Event], labels: np.ndarray) -> None:
+    s = as_stream(events)
+    _write_csv(path, TRUTH_COLUMNS, [s.t, s.x, s.y, s.p, labels])
 
 
 def read_truth(path: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -275,8 +269,9 @@ def _read_csv(path: str, columns: Columns) -> List[np.ndarray]:
     return out
 
 
-def _write_csv(path: str, columns: Columns, data: Sequence[Sequence]) -> None:
-    """Write equal-length columns `data` as a CSV with header `columns`.
+def _write_csv(path: str, columns: Columns, data: Sequence[Sequence], header: Optional[str] = None, sep=",") -> None:
+    """Write equal-length columns `data` as a CSV with header `columns`, or
+    as `sep`-separated text under the line `header`.
 
     Each column is converted to its kind and formatted once: floats with
     repr (so they read back exactly), ints with str, strings as they are.
@@ -287,5 +282,5 @@ def _write_csv(path: str, columns: Columns, data: Sequence[Sequence]) -> None:
     # Lazy maps: a list per column would hold one Python object per value
     # and raise the peak memory of whoever writes a large table.
     text = [col if kind is str else map(_TEXT[kind], map(kind, col)) for (_, kind), col in zip(columns, data)]
-    lines = [",".join(_names(columns)), *map(",".join, zip(*text))]
+    lines = [",".join(_names(columns)) if header is None else header, *map(sep.join, zip(*text))]
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -12,13 +12,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from .clustering import ClusterLabeling, MeanShiftParams, cluster_centroids, cluster_packet
 from .errors import ContractViolationError
-from .events import DecayParams, Event, Packet, SensorGeometry, packetize
+from .events import DecayParams, Event, Packet, SensorGeometry, as_stream, packetize
 from .filtering import FilterParams, filter_stream
 from .io import LabeledEvents, TrackRow
 from .tracking import Measurement, Tracker, TrackerParams
@@ -83,18 +83,16 @@ class PipelineResult:
 
 
 def make_packets(
-    events: Sequence[Event],
+    events: Iterable[Event],
     geom: SensorGeometry,
     params: PipelineParams,
 ) -> tuple[List[Packet], int, int]:
     """Filter and packetize a stream; returns (packets, n_raw, n_kept)."""
-    n_raw = len(events)
+    kept = events = as_stream(events)
     if params.filter_params is not None:
-        kept = list(filter_stream(events, params.filter_params, geom))
-    else:
-        kept = list(events)
+        kept = as_stream(filter_stream(events, params.filter_params, geom))
     packets = list(packetize(kept, params.packet_size, geom, params.decay))
-    return packets, n_raw, len(kept)
+    return packets, len(events), len(kept)
 
 
 def labeled_from_packets(packets: Sequence[Packet], labelings: Sequence[ClusterLabeling]) -> LabeledEvents:
@@ -133,24 +131,14 @@ def track_labelings(labeled: LabeledEvents, params: TrackerParams) -> tuple[List
         ])
         for tr in tracker.live_tracks():
             fresh = tr.last_measurement is not None and tr.measured_t == t
-            rows.append(
-                TrackRow(
-                    t=t,
-                    track_id=tr.track_id,
-                    x=float(tr.state[0]),
-                    y=float(tr.state[1]),
-                    vx=float(tr.state[2]),
-                    vy=float(tr.state[3]),
-                    status=tr.status.value,
-                    raw_cx=float(tr.last_measurement[0]) if fresh else math.nan,
-                    raw_cy=float(tr.last_measurement[1]) if fresh else math.nan,
-                )
-            )
+            raw = tr.last_measurement if fresh else (math.nan, math.nan)
+            # state is x, y, vx, vy; raw is the centroid measured at t
+            rows.append(TrackRow(t, tr.track_id, *map(float, tr.state), tr.status.value, *map(float, raw)))
     return rows, tracker
 
 
 def run_pipeline(
-    events: Sequence[Event],
+    events: Iterable[Event],
     geom: SensorGeometry,
     params: Optional[PipelineParams] = None,
     threads: Optional[int] = None,

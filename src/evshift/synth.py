@@ -12,19 +12,22 @@ center trajectory of each shape is reported on a fixed time grid.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import ContractViolationError, ParseError
-from .events import Event, SensorGeometry
+from .events import EventStream, SensorGeometry
 
 NOISE_LABEL = -1
 
 # Fraction of speed below which normal motion emits nothing: outlines moving
 # almost parallel to themselves produce no contrast change.
 _SUPPRESS_FRACTION = 0.1
+
+# Time steps rendered per block of a shape's outline motion.
+_CHUNK_STEPS = 2000
 
 
 @dataclass(frozen=True)
@@ -187,7 +190,7 @@ def _pose_points(base: np.ndarray, tx, ty, ang, sc) -> np.ndarray:
 class GeneratedScene:
     """Events with per-event source labels plus true center trajectories."""
 
-    events: List[Event]
+    events: EventStream
     labels: np.ndarray
     geometry: SensorGeometry
     centers_t: np.ndarray
@@ -206,14 +209,10 @@ def generate(scene: SceneSpec, speed_factor: float = 1.0) -> GeneratedScene:
     if not (speed_factor > 0):
         raise ContractViolationError(f"speed factor must be > 0, got {speed_factor}")
     rng = np.random.default_rng(scene.seed)
-    all_t: List[np.ndarray] = []
-    all_x: List[np.ndarray] = []
-    all_y: List[np.ndarray] = []
-    all_p: List[np.ndarray] = []
-    all_lab: List[np.ndarray] = []
+    # (t, x, y, p, label) column pieces; the empty first one sets the dtypes.
+    pieces = [(np.zeros(0), *[np.zeros(0, dtype=int)] * 4)]
     dt = scene.dt
     n_steps = int(round(scene.duration / dt))
-    chunk = max(1, 2000)
     for shape in scene.shapes:
         base, normals, ds = _sample_outline(shape.vertices, scene.spacing)
         n_pts = len(base)
@@ -221,8 +220,8 @@ def generate(scene: SceneSpec, speed_factor: float = 1.0) -> GeneratedScene:
         # points never fire in the same instant; simultaneous bursts would
         # leave nothing for the correlation filter to support.
         acc = (0.1 * np.arange(n_pts)) % 1.0
-        for k0 in range(0, n_steps, chunk):
-            k1 = min(k0 + chunk, n_steps)
+        for k0 in range(0, n_steps, _CHUNK_STEPS):
+            k1 = min(k0 + _CHUNK_STEPS, n_steps)
             times = (np.arange(k0, k1) + 0.5) * dt
             tx, ty, ang, sc = shape.keys.pose(times)
             pos = _pose_points(base, tx, ty, ang, sc)
@@ -254,56 +253,34 @@ def generate(scene: SceneSpec, speed_factor: float = 1.0) -> GeneratedScene:
                 pol = (vn[kk, ii] > 0).astype(int)
             else:
                 pol = np.full(len(kk), int(shape.polarity))
-            all_t.append(t_emit[inside])
-            all_x.append(px[inside])
-            all_y.append(py[inside])
-            all_p.append(pol[inside])
-            all_lab.append(np.full(int(inside.sum()), shape.shape_id))
+            label = np.full(int(inside.sum()), shape.shape_id)
+            pieces.append((t_emit[inside], px[inside], py[inside], pol[inside], label))
     if scene.noise_rate > 0:
         n_noise = int(rng.poisson(scene.noise_rate * scene.duration))
-        all_t.append(rng.uniform(0.0, scene.duration, n_noise))
-        all_x.append(rng.integers(0, scene.width, n_noise))
-        all_y.append(rng.integers(0, scene.height, n_noise))
-        all_p.append(rng.integers(0, 2, n_noise))
-        all_lab.append(np.full(n_noise, NOISE_LABEL))
-    if all_t:
-        t = np.concatenate(all_t)
-        x = np.concatenate(all_x)
-        y = np.concatenate(all_y)
-        p = np.concatenate(all_p)
-        lab = np.concatenate(all_lab)
-    else:
-        t = np.zeros(0)
-        x = y = p = lab = np.zeros(0, dtype=int)
+        pieces.append((
+            rng.uniform(0.0, scene.duration, n_noise),
+            rng.integers(0, scene.width, n_noise),
+            rng.integers(0, scene.height, n_noise),
+            rng.integers(0, 2, n_noise),
+            np.full(n_noise, NOISE_LABEL),
+        ))
+    t, x, y, p, lab = map(np.concatenate, zip(*pieces))
     order = np.argsort(t, kind="stable")
-    t, x, y, p, lab = t[order], x[order], y[order], p[order], lab[order]
-    t = t / speed_factor
-    events = [Event(t=float(t[i]), x=int(x[i]), y=int(y[i]), p=int(p[i])) for i in range(len(t))]
+    events = EventStream(t[order] / speed_factor, x[order], y[order], p[order])
     ct = np.arange(0.0, scene.duration + 0.5 * scene.centers_stride, scene.centers_stride)
     ct = ct[ct <= scene.duration + 1e-12]
-    obj_rows: List[np.ndarray] = []
-    t_rows: List[np.ndarray] = []
-    xy_rows: List[np.ndarray] = []
+    centers = [(np.zeros(0), np.zeros(0, dtype=int), np.zeros((0, 2)))]  # (t, object, xy) pieces
     for shape in scene.shapes:
         cx0, cy0 = shoelace_centroid(shape.vertices)
         tx, ty, ang, sc = shape.keys.pose(ct)
         c, s = np.cos(ang), np.sin(ang)
         cx = tx + sc * (c * cx0 - s * cy0)
         cy = ty + sc * (s * cx0 + c * cy0)
-        t_rows.append(ct / speed_factor)
-        obj_rows.append(np.full(len(ct), shape.shape_id))
-        xy_rows.append(np.stack([cx, cy], axis=1))
-    if t_rows:
-        centers_t = np.concatenate(t_rows)
-        centers_obj = np.concatenate(obj_rows)
-        centers_xy = np.concatenate(xy_rows)
-    else:
-        centers_t = np.zeros(0)
-        centers_obj = np.zeros(0, dtype=int)
-        centers_xy = np.zeros((0, 2))
+        centers.append((ct / speed_factor, np.full(len(ct), shape.shape_id), np.stack([cx, cy], axis=1)))
+    centers_t, centers_obj, centers_xy = map(np.concatenate, zip(*centers))
     return GeneratedScene(
         events=events,
-        labels=lab.astype(int),
+        labels=lab[order].astype(int),
         geometry=scene.geometry,
         centers_t=centers_t,
         centers_obj=centers_obj,

@@ -10,7 +10,8 @@ limit.  Track ids are never reused.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -37,8 +38,8 @@ class TrackerParams:
     def __post_init__(self):
         if not (self.gate > 0):
             raise ContractViolationError(f"gate must be > 0, got {self.gate}")
-        if self.q_var < 0 or self.r_var <= 0:
-            raise ContractViolationError("q_var must be >= 0 and r_var > 0")
+        if not (0 <= self.q_var < math.inf and 0 < self.r_var < math.inf):
+            raise ContractViolationError(f"q_var must be finite and >= 0, r_var finite and > 0: {self.q_var}, {self.r_var}")
         if self.confirm_hits < 1 or self.max_misses < 1:
             raise ContractViolationError("confirm_hits and max_misses must be >= 1")
 

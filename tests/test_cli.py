@@ -1,12 +1,19 @@
 """Command flows exercised through main() on small generated files."""
 
+import dataclasses
 import math
+from collections import defaultdict, deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evshift.cli import main
+from evshift.cli import _truth_labels_for, main
+from evshift.clustering import NOISE
+from evshift.config import RunConfig
 from evshift.io import LabeledEvents, TrackRow, read_events, write_labeled_events, write_tracks, write_truth
+from evshift.errors import ContractViolationError, EmptyAlignmentError
 from evshift.events import Event
 from evshift.pipeline import PipelineParams, run_pipeline
 from evshift.synth import Keyframes, SceneSpec, ShapeSpec, save_scene
@@ -240,8 +247,30 @@ def test_exit_code_contract_violations(tmp_path, capsys):
     # k-means asked for without the geometry needed to rebuild features
     write_truth(truth, events, np.zeros(6, dtype=int))
     assert main(["eval-cluster", "--pred", lab, "--truth", truth, "--kmeans"]) == 6
+    # ... even when no packet is scoreable, which alone would exit 8
+    write_truth(truth, events, np.full(6, -1))
+    assert main(["eval-cluster", "--pred", lab, "--truth", truth]) == 8
+    assert main(["eval-cluster", "--pred", lab, "--truth", truth, "--kmeans"]) == 6
     assert main(["bench", "--scene", "reference", "--factors", "a,b"]) == 6
     capsys.readouterr()
+
+
+FLOAT_SETTINGS = [f.name for f in dataclasses.fields(RunConfig) if f.type in ("float", "Optional[float]")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", FLOAT_SETTINGS)
+def test_non_finite_setting_rejected(tmp_path, capsys, key, value):
+    lab = tmp_path / "lab.csv"
+    lab.write_text("t,x,y,p,packet_id,cluster_id\n0.1,1,2,0,0,0\n")
+    out = tmp_path / "tracks.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    flag = ["--" + key.replace("_", "-"), value]
+    for extra in (flag, ["--config", str(cfg)]):
+        assert main(["track", "--in", str(lab), "--out", str(out), *extra]) == 6
+        assert f"{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_empty_alignment(tmp_path, capsys):
@@ -292,3 +321,57 @@ def test_unknown_builtin_scene_reports_missing_file(tmp_path, capsys):
     rc = main(["synth", "--scene", "not-a-scene", "--out", str(tmp_path / "o.txt")])
     assert rc == 3
     capsys.readouterr()
+
+
+def dict_truth_labels(rows, truth):
+    """Reference join: a queue of object ids per (t, x, y, p) key, in truth
+    file order; each prediction pops the head of its key's queue."""
+    tt, tx, ty, tp, tobj = truth
+    if len(tt) == 0 or len(rows) == 0:
+        raise EmptyAlignmentError("no rows")
+    queues = defaultdict(deque)
+    for i in range(len(tt)):
+        queues[(float(tt[i]), int(tx[i]), int(ty[i]), int(tp[i]))].append(int(tobj[i]))
+    out = np.empty(len(rows), dtype=int)
+    unmatched = 0
+    for i in range(len(rows)):
+        q = queues.get((float(rows.t[i]), int(rows.x[i]), int(rows.y[i]), int(rows.p[i])))
+        if not q:
+            unmatched += 1
+            out[i] = NOISE
+            continue
+        out[i] = q.popleft()
+    if unmatched == len(rows):
+        raise EmptyAlignmentError("no match")
+    if unmatched > 0:
+        raise ContractViolationError("unmatched rows")
+    return out
+
+
+# Few distinct keys, so duplicates and ties are common; -0.0 equals 0.0
+# and nan matches nothing, as in a dict.
+JOIN_KEYS = st.tuples(
+    st.sampled_from([0.0, -0.0, 0.1, 0.2, math.nan]), st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)
+)
+
+
+def _columns(keys):
+    return [np.array([k[i] for k in keys], dtype=float if i == 0 else np.int64) for i in range(4)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(truth=st.lists(st.tuples(JOIN_KEYS, st.integers(-1, 3)), max_size=12), data=st.data())
+def test_truth_join_matches_dict_oracle(truth, data):
+    picks = data.draw(st.permutations(range(len(truth))))[: data.draw(st.integers(0, len(truth)))]
+    pred_keys = [truth[i][0] for i in picks] + data.draw(st.lists(JOIN_KEYS, max_size=3))
+    pred_keys = [pred_keys[i] for i in data.draw(st.permutations(range(len(pred_keys))))]
+    zeros = np.zeros(len(pred_keys), dtype=np.int64)
+    rows = LabeledEvents(*_columns(pred_keys), packet_id=zeros, cluster_id=zeros)
+    cols = (*_columns([k for k, _ in truth]), np.array([obj for _, obj in truth], dtype=np.int64))
+    try:
+        want = dict_truth_labels(rows, cols)
+    except (ContractViolationError, EmptyAlignmentError) as exc:
+        with pytest.raises(type(exc)):
+            _truth_labels_for(rows, cols)
+    else:
+        assert np.array_equal(_truth_labels_for(rows, cols), want)

@@ -5,11 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evshift.errors import ParseError, StreamOrderError
-from evshift.events import Event, SensorGeometry
+from evshift.events import Event, EventStream, SensorGeometry
 from evshift.io import (
     LabeledEvents,
     TrackRow,
@@ -43,7 +43,7 @@ def test_events_round_trip(tmp_path):
     write_events(path, events, GEOM)
     back, geom = read_events(path)
     assert geom == GEOM
-    assert back == events
+    assert list(back) == events
     assert back[1].t == 0.12345678901234567  # repr round-trip is exact
 
 
@@ -226,6 +226,84 @@ def test_csv_error_reports_line(tmp_path):
     with pytest.raises(ParseError) as info:
         read_labeled_events(str(path))
     assert info.value.line_no == 3
+
+
+# Timestamps that repr must spell in full, ties among them, and zero's sign.
+HARD_TIMES = st.one_of(
+    st.floats(0, 1e6),
+    st.sampled_from([-0.0, 0.0, 0.1, 0.1 + 0.2, 1 / 3, 5e-324, 2.0**53 + 2, 1e16 / 3]),
+)
+# Lines that read_events skips; they count as lines but not as events.
+FILLERS = st.lists(st.sampled_from(["", "   ", "# note"]), max_size=2)
+
+# rule -> (exception, event line fields rewritten to break it, from the
+# original fields, the previous event's timestamp and the geometry)
+BREAKS = {
+    "field count": (ParseError, lambda f, prev, g: f[:3]),
+    "bad number": (ParseError, lambda f, prev, g: [f[0], "1.5", *f[2:]]),
+    "negative t": (ParseError, lambda f, prev, g: ["-1.0", *f[1:]]),
+    "nan t": (ParseError, lambda f, prev, g: ["nan", *f[1:]]),
+    "polarity 2": (ParseError, lambda f, prev, g: [*f[:3], "2"]),
+    "decreasing t": (StreamOrderError, lambda f, prev, g: [repr(prev / 2), *f[1:]]),
+    "outside sensor": (ParseError, lambda f, prev, g: [f[0], str(g.width), *f[2:]]),
+}
+
+
+@st.composite
+def event_files(draw):
+    """(geometry, stream, its event file's lines with fillers, each event's line index)."""
+    geom = SensorGeometry(draw(st.integers(1, 50)), draw(st.integers(1, 50)))
+    n = draw(st.integers(1, 12))
+    t = sorted(draw(st.lists(HARD_TIMES, min_size=n, max_size=n)))
+    x, y = ([draw(st.one_of(st.sampled_from([0, size - 1]), st.integers(0, size - 1))) for _ in range(n)]
+            for size in (geom.width, geom.height))
+    p = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    stream = EventStream(t, x, y, p)
+    lines = [f"# {geom.width} {geom.height}", *draw(FILLERS)]
+    at = []
+    for e in stream:
+        lines.extend(draw(FILLERS))
+        at.append(len(lines))
+        lines.append(f"{e.t!r} {e.x} {e.y} {e.p}")
+    return geom, stream, lines + draw(FILLERS), at
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=event_files())
+def test_event_file_round_trip_is_exact(tmp_path_factory, case):
+    geom, stream, lines, _ = case
+    directory = tmp_path_factory.mktemp("events")
+    written, padded, again = directory / "a.txt", directory / "b.txt", directory / "c.txt"
+    write_events(str(written), stream, geom)
+    padded.write_text("\n".join(lines) + "\n")
+    back, back_geom = read_events(str(padded))
+    assert back_geom == geom
+    for name in "txyp":
+        # repr tells -0.0 from 0.0
+        assert list(map(repr, getattr(back, name).tolist())) == list(map(repr, getattr(stream, name).tolist()))
+    write_events(str(again), back, back_geom)
+    assert again.read_bytes() == written.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=event_files(), data=st.data())
+def test_event_file_errors_name_the_first_broken_line(tmp_path_factory, case, data):
+    geom, stream, lines, at = case
+    broken = sorted(data.draw(st.lists(st.integers(0, len(stream) - 1), min_size=1, max_size=2, unique=True)))
+    rules = [data.draw(st.sampled_from(sorted(BREAKS))) for _ in broken]
+    for k, rule in zip(broken, rules):
+        assume(rule != "decreasing t" or (k > 0 and stream.t[k - 1] > 0))
+        lines[at[k]] = " ".join(BREAKS[rule][1](lines[at[k]].split(), float(stream.t[k - 1]), geom))
+    # The earliest broken line wins, but the sensor bounds are checked
+    # only once every line passed the other rules.
+    k, rule = next((kr for kr in zip(broken, rules) if kr[1] != "outside sensor"), (broken[0], rules[0]))
+    path = tmp_path_factory.mktemp("events") / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(BREAKS[rule][0]) as info:
+        read_events(str(path))
+    assert f"{path}:{at[k] + 1}:" in str(info.value)
+    if rule == "decreasing t":
+        assert info.value.index == k
 
 
 # Each CSV reader with its header and a row template whose `{}` sits in an

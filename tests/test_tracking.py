@@ -5,6 +5,8 @@ matrix operations (predict, gain, Joseph update) at full float64 precision
 and are frozen here as literals.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -229,5 +231,10 @@ def test_param_validation():
         TrackerParams(gate=0.0)
     with pytest.raises(ContractViolationError):
         TrackerParams(r_var=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ContractViolationError):
+            TrackerParams(q_var=bad)
+        with pytest.raises(ContractViolationError):
+            TrackerParams(r_var=bad)
     with pytest.raises(ContractViolationError):
         TrackerParams(confirm_hits=0)
