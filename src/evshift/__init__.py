@@ -43,6 +43,7 @@ from .filtering import FilterParams, filter_stream
 from .metrics import (
     PairCounts,
     adjusted_rand_index,
+    cluster_scores,
     kmeans_baseline,
     normalized_mutual_information,
     pair_counts,

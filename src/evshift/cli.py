@@ -43,13 +43,7 @@ from .io import (
     write_tracks,
     write_truth,
 )
-from .metrics import (
-    adjusted_rand_index,
-    kmeans_baseline,
-    normalized_mutual_information,
-    precision_recall_f,
-    tracking_error,
-)
+from .metrics import cluster_scores, kmeans_baseline, pair_counts, precision_recall_f, tracking_error
 from .pipeline import cluster_packets, labeled_from_packets, track_labelings
 from .scenes import SCENE_BUILDERS, build_scene
 from .synth import generate, load_scene
@@ -187,9 +181,7 @@ def cmd_eval_cluster(args: argparse.Namespace) -> int:
         if not keep.any():
             skipped += 1
             continue
-        prf = precision_recall_f(pred_l, true_l, beta=cfg.beta)
-        ari = adjusted_rand_index(pred_l, true_l)
-        nmi = normalized_mutual_information(pred_l, true_l)
+        prf, ari, nmi = cluster_scores(pred_l, true_l, beta=cfg.beta)
         f_scores.append(prf.f_score)
         precisions.append(prf.precision)
         recalls.append(prf.recall)
@@ -223,8 +215,9 @@ def cmd_eval_cluster(args: argparse.Namespace) -> int:
     print(f"mean_nmi = {_fmt(np.mean(nmis))}")
     pp = np.concatenate(pooled_pred)
     pt = np.concatenate(pooled_truth)
-    pooled_prf = precision_recall_f(pp, pt, beta=cfg.beta)
-    pooled_ari = adjusted_rand_index(pp, pt)
+    pooled = pair_counts(pp, pt)
+    pooled_prf = pooled.prf(cfg.beta)
+    pooled_ari = pooled.ari()
     print(f"pooled_f = {_fmt(pooled_prf.f_score)}")
     print(f"pooled_ari = {_fmt(pooled_ari.value)}")
     if args.kmeans:

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, require_finite
 from .events import Packet
 
 NOISE = -1
@@ -28,9 +28,21 @@ NOISE = -1
 # stops where it is and is flagged as stalled.
 WEIGHT_FLOOR = 1e-290
 
-# Memory cap, in elements, for one pairwise block: (active seeds x events)
-# in mode seeking and (frontier modes x unlabeled modes) in mode merging.
+# Memory cap, in elements, for one (frontier modes x unlabeled modes) block
+# of mode merging.  Mode seeking needs no cap: its memory is one
+# (_TILE, events) buffer, linear in packet size.
 _BLOCK_ELEMS = 4_000_000
+
+# Smallest bandwidth mode seeking accepts.  Features lie in [0, 1], so the
+# expanded kernel exponent carries a rounding error of up to about
+# 1e-15 * 4 / h^2: below 1e-2 at this bound.  At h = 1e-10 lone seeds were
+# seen to stall, and below about 1e-154 the norms overflow to nan.
+MIN_BANDWIDTH = 1e-6
+
+# Seeds per mode-seeking tile.  Every tile's products have exactly this many
+# rows, because OpenBLAS rounds a row differently when the row count of the
+# call changes.
+_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -50,8 +62,9 @@ class MeanShiftParams:
     min_cluster_size: int = 5
 
     def __post_init__(self):
-        if not (self.bandwidth_h > 0):
-            raise ContractViolationError(f"bandwidth must be > 0, got {self.bandwidth_h}")
+        require_finite(self)
+        if not (self.bandwidth_h >= MIN_BANDWIDTH):
+            raise ContractViolationError(f"bandwidth must be >= {MIN_BANDWIDTH}, got {self.bandwidth_h}")
         if not (self.epsilon > 0):
             raise ContractViolationError(f"epsilon must be > 0, got {self.epsilon}")
         if self.max_iters < 1:
@@ -154,6 +167,44 @@ def _scaled_square(a: np.ndarray, b: np.ndarray, h: float, out: np.ndarray) -> N
     out *= out
 
 
+def _lifted(seeds: np.ndarray, snapshot: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The two factors of the kernel exponent, lhs @ rhs = -||y - s||^2 / 2.
+
+    y and s are the seeds and the snapshot points, centred on the snapshot's
+    column mean and divided by h.  lhs has rows [y, -||y||^2 / 2, 1], padded
+    with zero rows to whole tiles; rhs is [s^T; 1; -||s||^2 / 2].
+    """
+    centre = snapshot.mean(axis=0)
+    ys = (seeds - centre) / h
+    ss = (snapshot - centre) / h
+    lhs = np.zeros((-(-len(ys) // _TILE) * _TILE, 6))
+    lhs[: len(ys), :4] = ys
+    lhs[: len(ys), 4] = -0.5 * np.einsum("ij,ij->i", ys, ys)
+    lhs[: len(ys), 5] = 1.0
+    rhs = np.empty((6, len(ss)))
+    rhs[:4] = ss.T
+    rhs[4] = 1.0
+    rhs[5] = -0.5 * np.einsum("ij,ij->i", ss, ss)
+    return lhs, rhs
+
+
+def _seek_tile(lhs: np.ndarray, rhs: np.ndarray, snapshot: np.ndarray, rows: int, w: np.ndarray):
+    """Kernel-weighted snapshot sums for one tile of _TILE seeds.
+
+    lhs holds the tile's lifted seeds [y, -||y||^2 / 2, 1], its rows past
+    `rows` zero; rhs holds the lifted snapshot as [s^T; 1; -||s||^2 / 2];
+    w is a (_TILE, n) work buffer.  Returns the weighted sums w @ snapshot
+    and the total weights of the first `rows` seeds.
+    """
+    np.matmul(lhs, rhs, out=w)
+    real = w[:rows]
+    np.minimum(real, 0.0, out=real)
+    np.exp(real, out=real)
+    # The product takes all _TILE rows, since with fewer OpenBLAS would
+    # round a row differently; the padding rows' exponents are 0.
+    return (w @ snapshot)[:rows], real.sum(axis=1)
+
+
 def seek_modes(packet: Packet, params: MeanShiftParams, step_hook: Optional[StepHook] = None) -> ModeSeekResult:
     """Run the lockstep hybrid mode seeking for every event of a packet.
 
@@ -161,6 +212,17 @@ def seek_modes(packet: Packet, params: MeanShiftParams, step_hook: Optional[Step
     previous-iteration polarity/decayed-age columns.  All still-active seeds
     take one weighted-mean step against that snapshot, then the snapshot is
     republished.  Seeds freeze once their step length drops below epsilon.
+
+    The kernel exponent -||y - s||^2 / 2 of seed y and snapshot point s is
+    expanded as y.s - ||y||^2 / 2 - ||s||^2 / 2, so a whole tile of seeds
+    gets its exponents from one K=6 matrix product.  Seeds and snapshot are
+    first centred on the snapshot's column mean, then divided by h:
+    centring keeps the norms small, so the expansion cancels to within a
+    few ulp of the direct difference.  An exponent that rounds above 0 is
+    clamped to 0 before exp.  Active seeds go in tiles of exactly _TILE
+    rows, the last padded with zero rows, so a seed's step does not depend
+    on which other seeds are still active, and memory is one (_TILE, n)
+    buffer.
 
     step_hook, when given, is called once per iteration with
     (y_before, y_after, snapshot, active_indices); it exists for diagnostic
@@ -174,43 +236,21 @@ def seek_modes(packet: Packet, params: MeanShiftParams, step_hook: Optional[Step
     stalled = np.zeros(n, dtype=bool)
     active = np.ones(n, dtype=bool)
     ops = 0
-    # Every block has at least two rows: NumPy hands a one-row product to a
-    # BLAS routine that rounds differently, and a seed's step would then
-    # depend on the block size.  A lone last row joins the block before it.
-    block = max(2, _BLOCK_ELEMS // max(n, 1))
-    w_buf, odd_buf, tmp_buf = (np.empty((min(block + 1, n), n)) for _ in range(3))
+    w = np.empty((_TILE, n))
     for _ in range(params.max_iters):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         snapshot = np.concatenate([f0[:, :2], y[:, 2:]], axis=1)
-        columns = np.ascontiguousarray(snapshot.T)
-        new_y = np.empty((idx.size, 4))
-        under = np.zeros(idx.size, dtype=bool)
-        bounds = list(range(0, idx.size, block)) + [idx.size]
-        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-            del bounds[-2]
-        for s, e in zip(bounds, bounds[1:]):
-            ys = y[idx[s:e]]
-            w, odd, tmp = w_buf[: e - s], odd_buf[: e - s], tmp_buf[: e - s]
-            # (d0 + d2) + (d1 + d3): the order in which NumPy's einsum adds
-            # the four squares, so the weights keep the same bits.
-            _scaled_square(ys[:, 0], columns[0], h, w)
-            _scaled_square(ys[:, 2], columns[2], h, tmp)
-            w += tmp
-            _scaled_square(ys[:, 1], columns[1], h, odd)
-            _scaled_square(ys[:, 3], columns[3], h, tmp)
-            odd += tmp
-            w += odd
-            w *= -0.5
-            np.exp(w, out=w)
-            total = w.sum(axis=1)
-            bad = total < WEIGHT_FLOOR
-            safe_total = np.where(bad, 1.0, total)
-            stepped = (w @ snapshot) / safe_total[:, None]
-            stepped[bad] = ys[bad]
-            new_y[s:e] = stepped
-            under[s:e] = bad
+        lhs, rhs = _lifted(y[idx], snapshot, h)
+        sums = np.empty((idx.size, 4))
+        total = np.empty(idx.size)
+        for s in range(0, idx.size, _TILE):
+            rows = min(_TILE, idx.size - s)
+            sums[s : s + rows], total[s : s + rows] = _seek_tile(lhs[s : s + _TILE], rhs, snapshot, rows, w)
+        under = total < WEIGHT_FLOOR
+        new_y = sums / np.where(under, 1.0, total)[:, None]
+        new_y[under] = y[idx[under]]
         ops += idx.size * n
         iterations[idx] += 1
         if step_hook is not None:

@@ -9,13 +9,12 @@ its value.
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .clustering import MeanShiftParams
-from .errors import ContractViolationError, ParseError
+from .errors import ContractViolationError, ParseError, require_finite
 from .events import DecayParams
 from .filtering import FilterParams
 from .pipeline import PipelineParams
@@ -48,10 +47,7 @@ class RunConfig:
     capacity: Optional[float] = None
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ContractViolationError(f"{f.name} must be finite, got {value}")
+        require_finite(self)
 
     def resolved_merge_radius(self) -> float:
         return self.bandwidth / 2.0 if self.merge_radius is None else self.merge_radius

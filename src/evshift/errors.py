@@ -6,6 +6,9 @@ command layer can map it to a stable exit code.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 
 class EvshiftError(Exception):
     """Base class for all package errors."""
@@ -13,6 +16,14 @@ class EvshiftError(Exception):
 
 class ContractViolationError(EvshiftError):
     """An operation was called with arguments that violate its preconditions."""
+
+
+def require_finite(params) -> None:
+    """Raise ContractViolationError if a float field of a dataclass is inf or nan."""
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ContractViolationError(f"{f.name} must be finite, got {value}")
 
 
 class OutOfBoundsError(ContractViolationError):

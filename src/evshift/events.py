@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Union
 
 import numpy as np
 
-from .errors import ContractViolationError, OutOfBoundsError, StreamOrderError
+from .errors import ContractViolationError, OutOfBoundsError, StreamOrderError, require_finite
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,6 +68,7 @@ class DecayParams:
     tau: float = 0.025
 
     def __post_init__(self):
+        require_finite(self)
         if not (self.tau > 0):
             raise ContractViolationError(f"tau must be > 0, got {self.tau}")
 

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ContractViolationError, OutOfBoundsError, StreamOrderError
+from .errors import ContractViolationError, OutOfBoundsError, StreamOrderError, require_finite
 from .events import Event, EventStream, SensorGeometry, as_stream
 
 
@@ -24,6 +24,7 @@ class FilterParams:
     window: float = 0.005
 
     def __post_init__(self):
+        require_finite(self)
         if self.radius < 1:
             raise ContractViolationError(f"filter radius must be >= 1, got {self.radius}")
         if not (self.window > 0):

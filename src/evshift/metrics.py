@@ -9,13 +9,91 @@ labelings actually assign.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import log
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .clustering import NOISE
 from .errors import ContractViolationError, EmptyAlignmentError
+
+
+def _check_beta(beta: float) -> None:
+    if beta <= 0:
+        raise ContractViolationError(f"beta must be > 0, got {beta}")
+
+
+@dataclass
+class PRF:
+    precision: float
+    recall: float
+    f_score: float
+    beta: float = 1.0
+    degenerate: bool = False
+
+
+@dataclass
+class ARIResult:
+    value: float
+    degenerate: bool = False
+
+
+@dataclass
+class NMIResult:
+    value: float
+    degenerate: bool = False
+
+
+@dataclass
+class PairCounts:
+    """Pairwise agreement counts between predicted and true labelings.
+
+    tp: pairs together in both; fp: together in prediction only;
+    fn: together in truth only; tn: separate in both.
+    """
+
+    tp: int
+    fp: int
+    fn: int
+    tn: int
+
+    @property
+    def total(self) -> int:
+        return self.tp + self.fp + self.fn + self.tn
+
+    def prf(self, beta: float = 1.0) -> PRF:
+        """Pairwise precision, recall and F; see precision_recall_f."""
+        _check_beta(beta)
+        degenerate = False
+        if self.tp + self.fp == 0:
+            precision, degenerate = 1.0, True
+        else:
+            precision = self.tp / (self.tp + self.fp)
+        if self.tp + self.fn == 0:
+            recall, degenerate = 1.0, True
+        else:
+            recall = self.tp / (self.tp + self.fn)
+        b2 = beta * beta
+        if precision == 0.0 and recall == 0.0:
+            f, degenerate = 0.0, True
+        else:
+            f = (1 + b2) * precision * recall / (b2 * precision + recall)
+        return PRF(precision=precision, recall=recall, f_score=f, beta=beta, degenerate=degenerate)
+
+    def ari(self) -> ARIResult:
+        """Adjusted Rand index; see adjusted_rand_index."""
+        if self.total == 0:
+            return ARIResult(value=1.0, degenerate=True)
+        sum_a, sum_b = self.tp + self.fp, self.tp + self.fn
+        expected = sum_a * sum_b / self.total
+        maximum = 0.5 * (sum_a + sum_b)
+        if maximum == expected:
+            return ARIResult(value=1.0, degenerate=True)
+        return ARIResult(value=(self.tp - expected) / (maximum - expected))
+
+
+def _pairs(counts: np.ndarray) -> int:
+    c = counts.astype(np.int64)
+    return int(np.sum(c * (c - 1) // 2))
 
 
 @dataclass
@@ -26,6 +104,40 @@ class Contingency:
     pred_ids: np.ndarray
     truth_ids: np.ndarray
     n: int
+
+    def pair_counts(self) -> PairCounts:
+        m = self.matrix
+        together_both = _pairs(m.reshape(-1))
+        together_pred = _pairs(m.sum(axis=1))
+        together_truth = _pairs(m.sum(axis=0))
+        all_pairs = self.n * (self.n - 1) // 2
+        tp = together_both
+        fp = together_pred - together_both
+        fn = together_truth - together_both
+        tn = all_pairs - tp - fp - fn
+        return PairCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+
+    def nmi(self) -> NMIResult:
+        """Normalized mutual information; see normalized_mutual_information."""
+        pij = self.matrix.astype(float) / float(self.n)
+        pi = pij.sum(axis=1)
+        pj = pij.sum(axis=0)
+
+        def entropy(p: np.ndarray) -> float:
+            p = p[p > 0]
+            return float(-np.sum(p * np.log(p)))
+
+        hu = entropy(pi)
+        hv = entropy(pj)
+        if hu == 0.0 and hv == 0.0:
+            return NMIResult(value=1.0, degenerate=True)
+        if hu == 0.0 or hv == 0.0:
+            return NMIResult(value=0.0, degenerate=True)
+        nz = pij > 0
+        outer = pi[:, None] * pj[None, :]
+        mi = float(np.sum(pij[nz] * np.log(pij[nz] / outer[nz])))
+        mi = max(mi, 0.0)
+        return NMIResult(value=mi / np.sqrt(hu * hv))
 
 
 def _check_same_length(pred, truth) -> Tuple[np.ndarray, np.ndarray]:
@@ -49,59 +161,22 @@ def contingency(pred, truth) -> Contingency:
     pred, truth = _check_same_length(pred, truth)
     pred_ids, pi = np.unique(pred, return_inverse=True)
     truth_ids, ti = np.unique(truth, return_inverse=True)
-    m = np.zeros((len(pred_ids), len(truth_ids)), dtype=np.int64)
-    np.add.at(m, (pi, ti), 1)
+    shape = (len(pred_ids), len(truth_ids))
+    m = np.bincount(pi * shape[1] + ti, minlength=shape[0] * shape[1]).astype(np.int64, copy=False).reshape(shape)
     return Contingency(matrix=m, pred_ids=pred_ids, truth_ids=truth_ids, n=len(pred))
 
 
-@dataclass
-class PairCounts:
-    """Pairwise agreement counts between predicted and true labelings.
-
-    tp: pairs together in both; fp: together in prediction only;
-    fn: together in truth only; tn: separate in both.
-    """
-
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-
-def _pairs(counts: np.ndarray) -> int:
-    c = counts.astype(np.int64)
-    return int(np.sum(c * (c - 1) // 2))
+def scored_contingency(pred, truth) -> Contingency:
+    """Contingency of the events neither labeling calls noise."""
+    pred, truth = drop_noise(pred, truth)
+    if len(pred) == 0:
+        raise EmptyAlignmentError("no events left after noise exclusion")
+    return contingency(pred, truth)
 
 
 def pair_counts(pred, truth) -> PairCounts:
     """Count event pairs by agreement class, noise excluded on both sides."""
-    pred, truth = drop_noise(pred, truth)
-    if len(pred) == 0:
-        raise EmptyAlignmentError("no events left after noise exclusion")
-    cont = contingency(pred, truth)
-    m = cont.matrix
-    together_both = _pairs(m.reshape(-1))
-    together_pred = _pairs(m.sum(axis=1))
-    together_truth = _pairs(m.sum(axis=0))
-    all_pairs = cont.n * (cont.n - 1) // 2
-    tp = together_both
-    fp = together_pred - together_both
-    fn = together_truth - together_both
-    tn = all_pairs - tp - fp - fn
-    return PairCounts(tp=tp, fp=fp, fn=fn, tn=tn)
-
-
-@dataclass
-class PRF:
-    precision: float
-    recall: float
-    f_score: float
-    beta: float = 1.0
-    degenerate: bool = False
+    return scored_contingency(pred, truth).pair_counts()
 
 
 def precision_recall_f(pred, truth, beta: float = 1.0) -> PRF:
@@ -111,30 +186,8 @@ def precision_recall_f(pred, truth, beta: float = 1.0) -> PRF:
     precision/recall (nothing contradicts the claim) and 0.0 for F when
     both rates are zero, and the result is flagged degenerate.
     """
-    if beta <= 0:
-        raise ContractViolationError(f"beta must be > 0, got {beta}")
-    pc = pair_counts(pred, truth)
-    degenerate = False
-    if pc.tp + pc.fp == 0:
-        precision, degenerate = 1.0, True
-    else:
-        precision = pc.tp / (pc.tp + pc.fp)
-    if pc.tp + pc.fn == 0:
-        recall, degenerate = 1.0, True
-    else:
-        recall = pc.tp / (pc.tp + pc.fn)
-    b2 = beta * beta
-    if precision == 0.0 and recall == 0.0:
-        f, degenerate = 0.0, True
-    else:
-        f = (1 + b2) * precision * recall / (b2 * precision + recall)
-    return PRF(precision=precision, recall=recall, f_score=f, beta=beta, degenerate=degenerate)
-
-
-@dataclass
-class ARIResult:
-    value: float
-    degenerate: bool = False
+    _check_beta(beta)
+    return pair_counts(pred, truth).prf(beta)
 
 
 def adjusted_rand_index(pred, truth) -> ARIResult:
@@ -144,21 +197,7 @@ def adjusted_rand_index(pred, truth) -> ARIResult:
     labelings put everything in one cluster) the score is defined as 1.0
     and flagged degenerate.
     """
-    pc = pair_counts(pred, truth)
-    if pc.total == 0:
-        return ARIResult(value=1.0, degenerate=True)
-    sum_a, sum_b = pc.tp + pc.fp, pc.tp + pc.fn
-    expected = sum_a * sum_b / pc.total
-    maximum = 0.5 * (sum_a + sum_b)
-    if maximum == expected:
-        return ARIResult(value=1.0, degenerate=True)
-    return ARIResult(value=(pc.tp - expected) / (maximum - expected))
-
-
-@dataclass
-class NMIResult:
-    value: float
-    degenerate: bool = False
+    return pair_counts(pred, truth).ari()
 
 
 def normalized_mutual_information(pred, truth) -> NMIResult:
@@ -168,31 +207,18 @@ def normalized_mutual_information(pred, truth) -> NMIResult:
     one is constant it carries no information about the other (0.0).  Both
     cases are flagged degenerate.
     """
-    pred, truth = drop_noise(pred, truth)
-    if len(pred) == 0:
-        raise EmptyAlignmentError("no events left after noise exclusion")
-    cont = contingency(pred, truth)
-    m = cont.matrix.astype(float)
-    n = float(cont.n)
-    pij = m / n
-    pi = pij.sum(axis=1)
-    pj = pij.sum(axis=0)
+    return scored_contingency(pred, truth).nmi()
 
-    def entropy(p: np.ndarray) -> float:
-        p = p[p > 0]
-        return float(-np.sum(p * np.log(p)))
 
-    hu = entropy(pi)
-    hv = entropy(pj)
-    if hu == 0.0 and hv == 0.0:
-        return NMIResult(value=1.0, degenerate=True)
-    if hu == 0.0 or hv == 0.0:
-        return NMIResult(value=0.0, degenerate=True)
-    nz = pij > 0
-    outer = pi[:, None] * pj[None, :]
-    mi = float(np.sum(pij[nz] * np.log(pij[nz] / outer[nz])))
-    mi = max(mi, 0.0)
-    return NMIResult(value=mi / np.sqrt(hu * hv))
+def cluster_scores(pred, truth, beta: float = 1.0) -> Tuple[PRF, ARIResult, NMIResult]:
+    """Pair P/R/F, ARI and NMI of one labeling pair, from one contingency.
+
+    Each value equals the one its own function returns.
+    """
+    _check_beta(beta)
+    cont = scored_contingency(pred, truth)
+    pc = cont.pair_counts()
+    return pc.prf(beta), pc.ari(), cont.nmi()
 
 
 def kmeans_baseline(

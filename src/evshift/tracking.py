@@ -10,13 +10,12 @@ limit.  Track ids are never reused.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericalError
+from .errors import ContractViolationError, NumericalError, require_finite
 
 
 class TrackStatus(enum.Enum):
@@ -36,10 +35,11 @@ class TrackerParams:
     max_misses: int = 10
 
     def __post_init__(self):
+        require_finite(self)
         if not (self.gate > 0):
             raise ContractViolationError(f"gate must be > 0, got {self.gate}")
-        if not (0 <= self.q_var < math.inf and 0 < self.r_var < math.inf):
-            raise ContractViolationError(f"q_var must be finite and >= 0, r_var finite and > 0: {self.q_var}, {self.r_var}")
+        if not (self.q_var >= 0 and self.r_var > 0):
+            raise ContractViolationError(f"q_var must be >= 0 and r_var > 0: {self.q_var}, {self.r_var}")
         if self.confirm_hits < 1 or self.max_misses < 1:
             raise ContractViolationError("confirm_hits and max_misses must be >= 1")
 

@@ -287,6 +287,43 @@ def test_seek_modes_matches_einsum_oracle():
         assert np.max(np.abs(got.modes - want.modes)) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 250])
+def test_seek_modes_matches_einsum_oracle_at_tile_edges(n):
+    # one event, a partial tile, exactly one tile, one row over, and
+    # several tiles with a partial last one
+    pkt = random_packet(np.random.default_rng(100 + n), n, SensorGeometry(64, 48), 0.01)
+    got, want = seek_modes(pkt, PARAMS), seek_modes_einsum(pkt, PARAMS)
+    assert np.array_equal(got.iterations, want.iterations)
+    assert np.array_equal(got.stalled, want.stalled)
+    assert got.ops_count == want.ops_count
+    assert np.max(np.abs(got.modes - want.modes)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 65, 250])
+def test_seek_tile_row_does_not_depend_on_its_tile(n):
+    # A row's sums and total must keep their bits whether the row is alone
+    # in a zero-padded tile or sits at any offset among other seeds.
+    tile = clustering._TILE
+    rng = np.random.default_rng(41 + n)
+    snapshot = rng.uniform(0.0, 1.0, size=(n, 4))
+    seeds, rhs = clustering._lifted(rng.uniform(0.0, 1.0, size=(tile + 3, 4)), snapshot, PARAMS.bandwidth_h)
+    seeds = seeds[: tile + 3]
+    w = np.empty((tile, n))
+    for i in range(0, len(seeds), 7):
+        alone = np.zeros((tile, 6))
+        alone[0] = seeds[i]
+        sums, total = clustering._seek_tile(alone, rhs, snapshot, 1, w)
+        for k in range(tile):
+            others = seeds[np.arange(len(seeds)) != i][rng.permutation(len(seeds) - 1)[:tile]]
+            others[k] = seeds[i]
+            for rows in (k + 1, tile):
+                lhs = others.copy()
+                lhs[rows:] = 0.0
+                got_sums, got_total = clustering._seek_tile(lhs, rhs, snapshot, rows, w)
+                assert np.array_equal(got_sums[k], sums[0])
+                assert got_total[k] == total[0]
+
+
 @pytest.mark.parametrize("block_elems", [1, 997, 2_500])
 def test_small_blocks_give_identical_results(monkeypatch, block_elems):
     pkt = blob_packet(np.random.default_rng(29), n_blobs=5, per_blob=40, n_noise=40, geom=SensorGeometry(96, 64))
@@ -434,3 +471,10 @@ def test_param_validation():
         MeanShiftParams(merge_radius=0.0)
     with pytest.raises(ContractViolationError):
         MeanShiftParams(min_cluster_size=0)
+    with pytest.raises(ContractViolationError):
+        MeanShiftParams(bandwidth_h=1e-7)
+    assert MeanShiftParams(bandwidth_h=clustering.MIN_BANDWIDTH).bandwidth_h == clustering.MIN_BANDWIDTH
+    for bad in (float("nan"), float("inf")):
+        for name in ("bandwidth_h", "epsilon", "merge_radius", "max_iters"):
+            with pytest.raises(ContractViolationError):
+                MeanShiftParams(**{name: bad})

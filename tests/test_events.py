@@ -58,6 +58,12 @@ def test_decay_values():
         DecayParams(tau=0.0)
 
 
+def test_param_validation():
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ContractViolationError):
+            DecayParams(tau=bad)
+
+
 def test_feature_normalization_corners():
     g = SensorGeometry(240, 180)
     p = DecayParams()

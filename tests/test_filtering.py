@@ -157,3 +157,6 @@ def test_param_validation():
         FilterParams(radius=0)
     with pytest.raises(ContractViolationError):
         FilterParams(window=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ContractViolationError):
+            FilterParams(window=bad)

@@ -13,6 +13,8 @@ import pytest
 from evshift.errors import ContractViolationError, EmptyAlignmentError
 from evshift.metrics import (
     adjusted_rand_index,
+    cluster_scores,
+    contingency,
     interpolate_centers,
     kmeans_baseline,
     normalized_mutual_information,
@@ -318,3 +320,32 @@ def test_tracking_error_empty_inputs():
     truth_t, truth_obj, truth_xy = one_object_truth()
     with pytest.raises(EmptyAlignmentError):
         tracking_error(np.array([]), np.array([]), np.zeros((0, 2)), truth_t, truth_obj, truth_xy)
+
+
+def test_cluster_scores_equal_the_separate_metrics():
+    rng = np.random.default_rng(13)
+    cases = [([0, 0, 1, 1], [0, 0, 0, 0]), ([0, 0, 0], [1, 1, 1]), ([0, 1, 2], [0, 1, 2]), ([0, -1], [-1, 0])]
+    for _ in range(30):
+        n = int(rng.integers(1, 60))
+        cases.append((rng.integers(-1, 4, size=n), rng.integers(-1, 5, size=n)))
+    for pred, truth in cases:
+        for beta in (0.5, 1.0, 2.0):
+            try:
+                want = (precision_recall_f(pred, truth, beta=beta), adjusted_rand_index(pred, truth),
+                        normalized_mutual_information(pred, truth))
+            except EmptyAlignmentError:
+                with pytest.raises(EmptyAlignmentError):
+                    cluster_scores(pred, truth, beta=beta)
+                continue
+            assert cluster_scores(pred, truth, beta=beta) == want
+    with pytest.raises(ContractViolationError):
+        cluster_scores([0, 1], [0, 1], beta=0.0)
+
+
+def test_contingency_counts_every_pair_of_ids():
+    cont = contingency([5, 5, 2, 7, 2, 5], [1, 0, 1, 1, 1, 0])
+    assert cont.pred_ids.tolist() == [2, 5, 7]
+    assert cont.truth_ids.tolist() == [0, 1]
+    assert cont.matrix.tolist() == [[0, 2], [2, 1], [0, 1]]
+    assert cont.matrix.dtype == np.int64
+    assert cont.n == 6

@@ -233,6 +233,8 @@ def test_param_validation():
         TrackerParams(r_var=0.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ContractViolationError):
+            TrackerParams(gate=bad)
+        with pytest.raises(ContractViolationError):
             TrackerParams(q_var=bad)
         with pytest.raises(ContractViolationError):
             TrackerParams(r_var=bad)
