@@ -92,7 +92,6 @@ def measure_factor(
     params: PipelineParams,
     fps: float = DEFAULT_FPS,
     capacity: Optional[float] = None,
-    threads: Optional[int] = None,
 ) -> CostRow:
     """Generate the scene at one speed factor and account its cost."""
     gen = generate(scene, speed_factor=factor)
@@ -103,7 +102,7 @@ def measure_factor(
         raise ContractViolationError(f"scene duration must be > 0, got {duration}")
     idx = _shed_packets(len(packets), params.packet_size, duration, capacity)
     processed = [packets[i] for i in idx]
-    labelings = cluster_packets(processed, params.ms_params, threads)
+    labelings = cluster_packets(processed, params.ms_params)
     ms_points = sum(len(p) for p in processed)
     centroids = sum(lab.n_clusters for lab in labelings)
     kernel_evals = sum(lab.ops_count for lab in labelings)
@@ -132,13 +131,12 @@ def run_sweep(
     params: Optional[PipelineParams] = None,
     fps: float = DEFAULT_FPS,
     capacity: Optional[float] = None,
-    threads: Optional[int] = None,
 ) -> CostReport:
     """Cost rows for a scene replayed at several speed factors."""
     if not factors:
         raise ContractViolationError("need at least one speed factor")
     params = params or PipelineParams()
-    rows = [measure_factor(scene, f, params, fps, capacity, threads) for f in factors]
+    rows = [measure_factor(scene, f, params, fps, capacity) for f in factors]
     return CostReport(rows=rows, geometry=scene.geometry, fps=fps)
 
 

@@ -94,6 +94,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     events, geom = read_events(args.input)
     params = cfg.pipeline_params().filter_params
+    # as_stream: perfbench's traced run wraps filter_stream to hand back an iterator
     kept = events if params is None else as_stream(filter_stream(events, params, geom))
     write_events(args.out, kept, geom)
     print(f"events_in = {len(events)}")
@@ -107,7 +108,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     events, geom = read_events(args.input)
     params = cfg.pipeline_params()
     packets = list(packetize(events, params.packet_size, geom, params.decay))
-    labelings = cluster_packets(packets, params.ms_params, args.threads)
+    labelings = cluster_packets(packets, params.ms_params)
     labeled = labeled_from_packets(packets, labelings)
     write_labeled_events(args.out, labeled)
     n_clusters = sum(lab.n_clusters for lab in labelings)
@@ -268,7 +269,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         params=cfg.pipeline_params(),
         fps=cfg.fps,
         capacity=cfg.capacity,
-        threads=args.threads,
     )
     if args.out:
         write_cost_csv(args.out, report)
@@ -305,7 +305,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", type=float, help="weight of recall in the F score")
     parser.add_argument("--fps", type=float, help="frame rate of the frame-driven baseline")
     parser.add_argument("--capacity", type=float, help="event throughput cap for the consumer model")
-    parser.add_argument("--threads", type=int, help="worker threads for packet clustering")
 
 
 def build_parser() -> argparse.ArgumentParser:

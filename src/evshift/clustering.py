@@ -160,10 +160,9 @@ class ModeSeekResult:
     stalled: np.ndarray
 
 
-def _scaled_square(a: np.ndarray, b: np.ndarray, h: float, out: np.ndarray) -> None:
-    """out[i, j] = ((a[i] - b[j]) / h) ** 2, computed in place."""
+def _squared_diff(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out[i, j] = (a[i] - b[j]) ** 2, computed in place."""
     np.subtract.outer(a, b, out=out)
-    out /= h
     out *= out
 
 
@@ -299,9 +298,9 @@ def merge_modes(modes: np.ndarray, merge_radius: float) -> np.ndarray:
                 tmp = tmp_buf[: shape[0] * shape[1]].reshape(shape)
                 # dimensions summed in turn: the bits np.sum over the last
                 # axis gives, so each `< thr2` decision stays as it was
-                _scaled_square(front_cols[0], rest_cols[0], 1.0, d2)
+                _squared_diff(front_cols[0], rest_cols[0], d2)
                 for k in range(1, len(columns)):
-                    _scaled_square(front_cols[k], rest_cols[k], 1.0, tmp)
+                    _squared_diff(front_cols[k], rest_cols[k], tmp)
                     d2 += tmp
                 hit |= (d2 < thr2).any(axis=0)
             frontier, rest = rest[hit], rest[~hit]

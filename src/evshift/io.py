@@ -48,11 +48,13 @@ def write_events(path: str, events: Iterable[Event], geom: SensorGeometry) -> No
 def read_events(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[EventStream, SensorGeometry]:
     """Parse an event stream file into columns.
 
-    The `# width height` header wins over the geom argument; without either
-    the file is rejected.  A malformed line, a timestamp not finite and >= 0
-    or a polarity not 0 or 1 is a ParseError and a decreasing timestamp a
-    StreamOrderError, naming file and line; the earliest line wins.  Only
-    then are events outside the sensor rejected (ParseError).
+    The first `#` line of two integers is the `# width height` header; any
+    other `#` line is a comment.  The header wins over the geom argument;
+    without either the file is rejected.  A malformed line, a timestamp not
+    finite and >= 0 or a polarity not 0 or 1 is a ParseError and a
+    decreasing timestamp a StreamOrderError, naming file and line; the
+    earliest line wins.  Only then are events outside the sensor rejected
+    (ParseError).
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -67,8 +69,12 @@ def read_events(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[Event
                 parts = raw.strip()[1:].split()
                 if file_geom is None and len(parts) == 2:
                     try:
-                        file_geom = SensorGeometry(int(parts[0]), int(parts[1]))
-                    except (ValueError, ContractViolationError) as exc:
+                        size = int(parts[0]), int(parts[1])
+                    except ValueError:
+                        continue  # a two-word comment
+                    try:
+                        file_geom = SensorGeometry(*size)
+                    except ContractViolationError as exc:
                         malformed = ParseError(path, line_no, f"bad geometry header: {exc}")
                         break
                 continue

@@ -1,16 +1,12 @@
 """End-to-end wiring: noise filter, packetizer, clustering, tracking.
 
-Packets are independent once formed, so clustering can fan out over a
-thread pool (EVSHIFT_THREADS sets the width, default 1); results come back
-in packet order, so the output does not depend on the thread count.
-Tracking is stateful and always runs sequentially over packet order.
+Packets are clustered one after another, in packet order; tracking is
+stateful and follows the same order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
@@ -35,34 +31,9 @@ class PipelineParams:
     tracker_params: TrackerParams = field(default_factory=TrackerParams)
 
 
-def thread_count() -> int:
-    """Worker count for packet-parallel stages, from EVSHIFT_THREADS.
-
-    Unset means 1; anything but a positive integer is rejected.
-    """
-    raw = os.environ.get("EVSHIFT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ContractViolationError(f"EVSHIFT_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
-def cluster_packets(
-    packets: Sequence[Packet],
-    params: MeanShiftParams,
-    threads: Optional[int] = None,
-) -> List[ClusterLabeling]:
-    """Cluster packets, optionally in parallel, preserving packet order."""
-    n = thread_count() if threads is None else threads
-    if n < 1:
-        raise ContractViolationError(f"thread count must be >= 1, got {n}")
-    if n == 1 or len(packets) <= 1:
-        return [cluster_packet(p, params) for p in packets]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(lambda p: cluster_packet(p, params), packets))
+def cluster_packets(packets: Sequence[Packet], params: MeanShiftParams) -> List[ClusterLabeling]:
+    """Cluster packets in packet order."""
+    return [cluster_packet(p, params) for p in packets]
 
 
 @dataclass
@@ -90,7 +61,7 @@ def make_packets(
     """Filter and packetize a stream; returns (packets, n_raw, n_kept)."""
     kept = events = as_stream(events)
     if params.filter_params is not None:
-        kept = as_stream(filter_stream(events, params.filter_params, geom))
+        kept = filter_stream(events, params.filter_params, geom)
     packets = list(packetize(kept, params.packet_size, geom, params.decay))
     return packets, len(events), len(kept)
 
@@ -141,12 +112,11 @@ def run_pipeline(
     events: Iterable[Event],
     geom: SensorGeometry,
     params: Optional[PipelineParams] = None,
-    threads: Optional[int] = None,
 ) -> PipelineResult:
     """Run the whole batch pipeline over an event stream."""
     params = params or PipelineParams()
     packets, n_raw, n_kept = make_packets(events, geom, params)
-    labelings = cluster_packets(packets, params.ms_params, threads)
+    labelings = cluster_packets(packets, params.ms_params)
     labeled = labeled_from_packets(packets, labelings)
     track_rows, tracker = track_labelings(labeled, params.tracker_params)
     return PipelineResult(

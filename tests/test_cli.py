@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from collections import defaultdict, deque
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evshift
 from evshift.cli import _truth_labels_for, main
 from evshift.clustering import NOISE
 from evshift.config import RunConfig
@@ -118,7 +122,7 @@ def test_full_flow(tmp_path, capsys, scene_path):
     assert header == "factor,ms_ops_per_s,track_ops_per_s,frame_baseline,reduction,detections_per_s"
 
 
-def test_outputs_are_byte_deterministic(tmp_path, capsys, scene_path, monkeypatch):
+def test_outputs_are_byte_deterministic(tmp_path, capsys, scene_path):
     a = str(tmp_path / "a.txt")
     b = str(tmp_path / "b.txt")
     assert main(["synth", "--scene", scene_path, "--out", a]) == 0
@@ -127,10 +131,25 @@ def test_outputs_are_byte_deterministic(tmp_path, capsys, scene_path, monkeypatc
     la = str(tmp_path / "a.csv")
     lb = str(tmp_path / "b.csv")
     assert main(["cluster", "--in", a, "--out", la, "--packet-size", "100"]) == 0
-    monkeypatch.setenv("EVSHIFT_THREADS", "3")
     assert main(["cluster", "--in", b, "--out", lb, "--packet-size", "100"]) == 0
     assert open(la, "rb").read() == open(lb, "rb").read()
     capsys.readouterr()
+
+
+def test_cluster_output_does_not_depend_on_blas_threads(tmp_path, capsys, scene_path):
+    ev = str(tmp_path / "ev.txt")
+    assert main(["synth", "--scene", scene_path, "--out", ev]) == 0
+    capsys.readouterr()
+    # BLAS reads its thread count when numpy loads, so each run is a process
+    src = os.path.dirname(os.path.dirname(evshift.__file__))
+    outputs = []
+    for n in ("1", "2"):
+        out = str(tmp_path / f"lab{n}.csv")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=n, PYTHONPATH=src)
+        cmd = [sys.executable, "-m", "evshift.cli", "cluster", "--in", ev, "--out", out]
+        subprocess.run(cmd, env=env, check=True, capture_output=True)
+        outputs.append(open(out, "rb").read())
+    assert outputs[0] == outputs[1]
 
 
 def test_cluster_then_track_matches_run_pipeline(tmp_path, capsys, scene_path):
@@ -214,16 +233,6 @@ def test_exit_code_stream_order(tmp_path, capsys):
     bad.write_text("# 10 10\n0.2 1 1 1\n0.1 2 2 0\n")
     assert main(["filter", "--in", str(bad), "--out", str(tmp_path / "o.txt")]) == 5
     assert f"{bad}:3:" in capsys.readouterr().err
-
-
-def test_exit_code_bad_thread_count(tmp_path, capsys, monkeypatch):
-    ev = tmp_path / "ev.txt"
-    ev.write_text("# 10 10\n0.1 1 1 1\n0.2 2 2 0\n")
-    out = str(tmp_path / "o.csv")
-    assert main(["cluster", "--in", str(ev), "--out", out, "--threads", "0"]) == 6
-    monkeypatch.setenv("EVSHIFT_THREADS", "junk")
-    assert main(["cluster", "--in", str(ev), "--out", out]) == 6
-    assert "EVSHIFT_THREADS" in capsys.readouterr().err
 
 
 def test_exit_code_contract_violations(tmp_path, capsys):

@@ -133,6 +133,15 @@ def test_events_blank_lines_and_comments_skipped(tmp_path):
     events, geom = read_events(str(path))
     assert len(events) == 1
     assert geom == SensorGeometry(10, 10)
+    # a two-word comment is not a geometry header, before one or without one
+    path.write_text("# a note\n# 10 10\n0.1 1 1 1\n")
+    events, geom = read_events(str(path))
+    assert len(events) == 1
+    assert geom == SensorGeometry(10, 10)
+    path.write_text("# a note\n0.1 1 1 1\n")
+    events, geom = read_events(str(path), SensorGeometry(4, 4))
+    assert len(events) == 1
+    assert geom == SensorGeometry(4, 4)
 
 
 def test_labeled_events_round_trip(tmp_path):

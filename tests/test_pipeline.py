@@ -1,10 +1,8 @@
 import math
 
 import numpy as np
-import pytest
 
 from evshift.clustering import MeanShiftParams, cluster_packet
-from evshift.errors import ContractViolationError
 from evshift.events import DecayParams, Event, SensorGeometry, make_packet
 from evshift.pipeline import (
     PipelineParams,
@@ -12,7 +10,6 @@ from evshift.pipeline import (
     labeled_from_packets,
     make_packets,
     run_pipeline,
-    thread_count,
     track_labelings,
 )
 from evshift.synth import Keyframes, SceneSpec, ShapeSpec, generate
@@ -77,31 +74,15 @@ def test_track_rows_mark_coasting_with_nan():
     assert len(tracker.tracks) == 2
 
 
-def test_cluster_packets_order_and_thread_invariance():
+def test_cluster_packets_keeps_packet_order():
     gen = generate(tiny_scene(noise_rate=0.0))
     params = PipelineParams(packet_size=60)
     packets, _, _ = make_packets(gen.events, gen.geometry, params)
     assert len(packets) >= 4
-    one = cluster_packets(packets, MS, threads=1)
-    four = cluster_packets(packets, MS, threads=4)
-    assert len(one) == len(four) == len(packets)
-    for a, b in zip(one, four):
-        assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.centroids, b.centroids)
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("EVSHIFT_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("EVSHIFT_THREADS", "4")
-    assert thread_count() == 4
-    for bad in ("junk", "", "0", "-2", "1.5"):
-        monkeypatch.setenv("EVSHIFT_THREADS", bad)
-        with pytest.raises(ContractViolationError, match="EVSHIFT_THREADS"):
-            thread_count()
-    monkeypatch.delenv("EVSHIFT_THREADS")
-    with pytest.raises(ContractViolationError):
-        cluster_packets([], MS, threads=0)
+    labelings = cluster_packets(packets, MS)
+    assert len(labelings) == len(packets)
+    for packet, lab in zip(packets, labelings):
+        assert np.array_equal(lab.labels, cluster_packet(packet, MS).labels)
 
 
 def test_run_pipeline_end_to_end_counts():
