@@ -50,11 +50,11 @@ def read_events(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[Event
 
     The first `#` line of two integers is the `# width height` header; any
     other `#` line is a comment.  The header wins over the geom argument;
-    without either the file is rejected.  A malformed line, a timestamp not
-    finite and >= 0 or a polarity not 0 or 1 is a ParseError and a
-    decreasing timestamp a StreamOrderError, naming file and line; the
-    earliest line wins.  Only then are events outside the sensor rejected
-    (ParseError).
+    without either the file is rejected at line 1, where the header belongs.
+    A malformed line, a timestamp not finite and >= 0 or a polarity not 0
+    or 1 is a ParseError and a decreasing timestamp a StreamOrderError,
+    naming file and line; the earliest line wins.  Only then are events
+    outside the sensor rejected (ParseError).
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -108,7 +108,7 @@ def read_events(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[Event
         raise malformed
     use_geom = file_geom or geom
     if use_geom is None:
-        raise ParseError(path, 0, "no geometry header and no fallback geometry given")
+        raise ParseError(path, 1, "no '# WIDTH HEIGHT' geometry header and no fallback geometry given")
     outside = ~use_geom.contains(x, y)
     if outside.any():
         i = int(np.argmax(outside))

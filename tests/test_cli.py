@@ -219,6 +219,15 @@ def test_exit_code_parse_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_code_headerless_events(tmp_path, capsys):
+    bare = tmp_path / "nohdr.txt"
+    bare.write_text("0.1 1 1 1\n0.2 1 2 0\n")
+    for command, out in (("filter", "o.txt"), ("cluster", "o.csv")):
+        assert main([command, "--in", str(bare), "--out", str(tmp_path / out)]) == 4
+        assert f"{bare}:1: no '# WIDTH HEIGHT' geometry header" in capsys.readouterr().err
+        assert not (tmp_path / out).exists()
+
+
 def test_exit_code_non_integer_label(tmp_path, capsys):
     bad = tmp_path / "lab.csv"
     for value in ("3.7", "nan", "1e20"):

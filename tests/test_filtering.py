@@ -1,13 +1,19 @@
-"""Support filter checked against a direct quadratic reference."""
+"""Support filter checked against a direct quadratic reference and an exact
+per-event loop over two timestamp maps."""
 
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evshift.errors import ContractViolationError, OutOfBoundsError, StreamOrderError
-from evshift.events import Event, SensorGeometry
+from evshift.events import Event, EventStream, SensorGeometry
 from evshift.filtering import FilterParams, filter_stream
+from evshift.scenes import build_scene
+from evshift.synth import generate
 
 
 def brute_force_filter(events, radius, window):
@@ -20,6 +26,37 @@ def brute_force_filter(events, radius, window):
                 kept.append(e)
                 break
     return kept
+
+
+def two_map_filter(stream, radius, window, geom):
+    """Linear reference, the keep mask: one pass over the events with two
+    timestamps per pixel, the latest and the latest strictly older one, so
+    that equal-timestamp arrivals at a pixel cannot mask an older supporting
+    event there."""
+    d = 2 * radius + 1
+    # Pad by radius so the neighbourhood of pixel (x, y) is [y : y + d, x : x + d].
+    shape = (geom.height + 2 * radius, geom.width + 2 * radius)
+    last = np.full(shape, -math.inf)
+    prev = np.full(shape, -math.inf)
+    keep = []
+    for e in stream:
+        view_last = last[e.y : e.y + d, e.x : e.x + d]
+        m = view_last.max()
+        if m >= e.t:
+            # Equal timestamps present; fall back to the strictly older entries.
+            view_prev = prev[e.y : e.y + d, e.x : e.x + d]
+            m = np.where(view_last < e.t, view_last, view_prev).max()
+        keep.append(0 < e.t - m <= window)
+        cy, cx = e.y + radius, e.x + radius
+        if e.t > last[cy, cx]:
+            prev[cy, cx] = last[cy, cx]
+            last[cy, cx] = e.t
+    return np.array(keep, dtype=bool)
+
+
+def assert_same_stream(got, want):
+    for column in "txyp":
+        np.testing.assert_array_equal(getattr(got, column), getattr(want, column))
 
 
 def random_stream(rng, n, width, height, dt_scale, duplicate_frac=0.0):
@@ -64,6 +101,77 @@ def test_matches_brute_force_with_larger_radius():
         got = list(filter_stream(events, params, geom))
         want = brute_force_filter(events, 3, 0.02)
         assert got == want
+
+
+@st.composite
+def tied_streams(draw):
+    """Streams on a small sensor with many equal timestamps and events on all
+    four border rows and columns, with a radius and a window near the step."""
+    width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    border = lambda size: st.sampled_from([0, size - 1, *range(size)])  # borders twice as likely
+    ticks = st.sampled_from([0, 0, 0, 1, 1, 2, 5])  # mostly equal timestamps
+    n = draw(st.integers(0, 300))
+    rows = draw(st.lists(st.tuples(ticks, border(width), border(height), st.integers(0, 1)), min_size=n, max_size=n))
+    tick, x, y, p = np.array(rows, dtype=np.int64).reshape(len(rows), 4).T
+    step = draw(st.sampled_from([1e-3, 0.7e-3, 2.5e-4]))
+    window = step * draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 7.0]))
+    params = FilterParams(draw(st.integers(1, 3)), window)
+    return EventStream(np.cumsum(tick * step), x, y, p), SensorGeometry(width, height), params
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=tied_streams())
+def test_matches_two_map_loop_on_tied_border_streams(case):
+    stream, geom, params = case
+    want = stream[two_map_filter(stream, params.radius, params.window, geom)]
+    assert_same_stream(filter_stream(stream, params, geom), want)
+
+
+def test_two_map_loop_matches_brute_force():
+    rng = np.random.default_rng(5)
+    geom = SensorGeometry(9, 7)
+    for radius in (1, 2, 3):
+        events = random_stream(rng, 200, 9, 7, 1e-3, duplicate_frac=0.4)
+        keep = two_map_filter(events, radius, 0.002, geom)
+        assert [e for e, k in zip(events, keep) if k] == brute_force_filter(events, radius, 0.002)
+
+
+@pytest.fixture(scope="module")
+def reference_events():
+    gen = generate(build_scene("reference"))
+    return gen.events, gen.geometry
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_reference_scene_matches_two_map_loop(reference_events, radius):
+    stream, geom = reference_events
+    params = FilterParams(radius=radius)
+    want = stream[two_map_filter(stream, radius, params.window, geom)]
+    assert_same_stream(filter_stream(stream, params, geom), want)
+
+
+def test_empty_and_single_event_streams():
+    geom = SensorGeometry(3, 2)
+    empty = filter_stream(EventStream([], [], [], []), FilterParams(), geom)
+    assert len(empty) == 0 and empty.t.dtype == np.float64
+    assert len(filter_stream([Event(t=0.0, x=2, y=1, p=True)], FilterParams(radius=4), geom)) == 0
+
+
+def test_radius_beyond_sensor_reaches_every_pixel():
+    # Offsets are clamped to the sensor, which still covers opposite corners.
+    geom = SensorGeometry(3, 2)
+    a = Event(t=0.0, x=0, y=0, p=True)
+    b = Event(t=0.001, x=2, y=1, p=True)
+    assert list(filter_stream([a, b], FilterParams(radius=2), geom)) == [b]
+    assert list(filter_stream([a, b], FilterParams(radius=10**12), geom)) == [b]
+    assert list(filter_stream([a, b], FilterParams(radius=1), geom)) == []
+
+
+def test_sort_keys_that_overflow_int64_are_refused():
+    geom = SensorGeometry(2**31, 2**31)
+    events = [Event(t=float(i), x=0, y=0, p=True) for i in range(3)]
+    with pytest.raises(ContractViolationError, match="overflows"):
+        filter_stream(events, FilterParams(), geom)
 
 
 def test_isolated_event_dropped():
@@ -160,3 +268,8 @@ def test_param_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ContractViolationError):
             FilterParams(window=bad)
+    for bad in (1.5, 2.0, "2", None, True, np.float64(2.0)):
+        with pytest.raises(ContractViolationError, match="must be an integer"):
+            FilterParams(radius=bad)
+    assert FilterParams(radius=np.int64(2)).radius == 2
+    assert FilterParams(radius=np.int32(3)).radius == 3
