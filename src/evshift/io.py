@@ -3,16 +3,32 @@
 Event streams are whitespace-separated text, one `t x y p` line per event,
 preceded by a `# width height` header line.  Labeled events, tracks, truth
 labels and center trajectories are CSV files whose columns are declared
-once, as (name, kind) pairs, and that one reader and one writer serve.  All
-writers go through an atomic temp-file-and-rename step and format floats
-with repr(), so identical data produces identical bytes.
+once, as (name, kind) pairs, and that one reader and one writer serve.
+Every file is UTF-8 text.
+
+Each reader first parses the whole body of a file in one np.loadtxt call,
+which builds no Python object per line.  It keeps that result only for a
+file in the plain form the writers produce: line 1 the exact header, every
+later line a row and, in an event file, every event passing the stream
+rules.  Anything else (comments, quoted fields, a value loadtxt rejects, a
+broken rule, a byte that is not UTF-8) goes to the per-line reader, which
+defines the format and names the offending line.  loadtxt accepts a strict
+subset of what the per-line reader accepts, with the same values (its
+float parse is Python's), so both paths return the same columns.
+
+Writers stream chunks of rows into a temp file that is then renamed over
+the target, so readers never observe a partial file and no writer holds
+the whole text.  Floats are written with repr(), so identical data
+produces identical bytes and reads back exactly.
 """
 
 from __future__ import annotations
 
 import csv
 import os
+import re
 import tempfile
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -26,13 +42,15 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text so readers never observe a partially written file."""
+def atomic_write_text(path: str, pieces: Iterable[str]) -> None:
+    """Write the concatenated text pieces as UTF-8, so that readers never
+    observe a partially written file: a failure, also one raised while the
+    pieces are produced, leaves any old file as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -40,9 +58,55 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _utf8_error(path: str, line_no: int, raw: str) -> Optional[ParseError]:
+    """The ParseError for a line read with errors="surrogateescape" that held
+    a byte that is not UTF-8, else None."""
+    if not raw.isascii():
+        try:
+            raw.encode("utf-8")
+        except UnicodeEncodeError:
+            return ParseError(path, line_no, "not valid UTF-8 text")
+    return None
+
+
+_BULK_DTYPE = {float: "f8", int: "i8", str: object}
+
+
+def _bulk_columns(fh, columns: Columns, delimiter: Optional[str]) -> Optional[List[np.ndarray]]:
+    """The rest of the open text file `fh` as one array per column of
+    `columns`, parsed in one np.loadtxt call split on `delimiter` (None:
+    runs of whitespace), or None where loadtxt raises or warns (an empty
+    body warns).  loadtxt's comment and quote handling are off: a `#` or a
+    quote makes a value it rejects, or, in a str column, part of the value.
+    """
+    # An unsized 'U' field reads every string as '' (numpy 2.4); object keeps each field.
+    dtype = [(name, _BULK_DTYPE[kind]) for name, kind in columns]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(fh, dtype=dtype, delimiter=delimiter, comments=None, quotechar=None, ndmin=1)
+    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
+    return [table[name].astype(str) if kind is str else table[name].copy() for name, kind in columns]
+
+
 def write_events(path: str, events: Iterable[Event], geom: SensorGeometry) -> None:
     s = as_stream(events)
     _write_csv(path, EVENT_COLUMNS, [s.t, s.x, s.y, s.p], header=f"# {geom.width} {geom.height}", sep=" ")
+
+
+# A line 1 that the per-line reader takes as the geometry header.
+_GEOMETRY_HEADER = re.compile(r"#\s*([0-9]+)\s+([0-9]+)\s*", re.ASCII)
+
+
+def _event_faults(t: np.ndarray, p: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per event: timestamp not finite and >= 0, polarity not 0 or 1, and
+    timestamp earlier than the previous event's."""
+    bad_t = ~np.isfinite(t) | (t < 0)
+    bad_p = (p != 0) & (p != 1)
+    back = np.zeros(len(t), dtype=bool)
+    back[1:] = t[1:] < t[:-1]
+    return bad_t, bad_p, back
 
 
 def read_events(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[EventStream, SensorGeometry]:
@@ -51,17 +115,38 @@ def read_events(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[Event
     The first `#` line of two integers is the `# width height` header; any
     other `#` line is a comment.  The header wins over the geom argument;
     without either the file is rejected at line 1, where the header belongs.
-    A malformed line, a timestamp not finite and >= 0 or a polarity not 0
-    or 1 is a ParseError and a decreasing timestamp a StreamOrderError,
-    naming file and line; the earliest line wins.  Only then are events
-    outside the sensor rejected (ParseError).
+    A malformed line, a byte that is not UTF-8, a timestamp not finite and
+    >= 0 or a polarity not 0 or 1 is a ParseError and a decreasing timestamp
+    a StreamOrderError, naming file and line; the earliest line wins.  Only
+    then are events outside the sensor rejected (ParseError).  A path that
+    is not a file raises FileNotFoundError.
     """
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise FileNotFoundError(path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            size = _GEOMETRY_HEADER.fullmatch(fh.readline())
+            cols = _bulk_columns(fh, EVENT_COLUMNS, None) if size else None
+    except UnicodeDecodeError:
+        cols = None
+    if cols is not None and int(size[1]) > 0 and int(size[2]) > 0:
+        file_geom = SensorGeometry(int(size[1]), int(size[2]))
+        t, x, y, p = cols
+        bad_t, bad_p, back = _event_faults(t, p)
+        if not (bad_t | bad_p | back).any() and file_geom.contains(x, y).all():
+            return EventStream(t, x, y, p), file_geom
+    return _read_events_per_line(path, geom)
+
+
+def _read_events_per_line(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[EventStream, SensorGeometry]:
+    """read_events one line at a time: the definition of the format, and the
+    reader that names the line of each error."""
     ts, xs, ys, ps, line_of = [], [], [], [], []  # the fields and the line of each event
     file_geom = malformed = None
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
+            if malformed := _utf8_error(path, line_no, raw):
+                break
             parts = raw.split()
             if not parts:
                 continue
@@ -93,10 +178,7 @@ def read_events(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[Event
     # The per-line rules on the rows before the malformed line, if any.  An int beyond
     # int64 stays exact or becomes a float, and fails the polarity or the sensor check.
     t, x, y, p = np.array(ts, dtype=np.float64), np.array(xs), np.array(ys), np.array(ps)
-    bad_t = ~np.isfinite(t) | (t < 0)
-    bad_p = (p != 0) & (p != 1)
-    back = np.zeros(len(t), dtype=bool)
-    back[1:] = t[1:] < t[:-1]
+    bad_t, bad_p, back = _event_faults(t, p)
     if (failing := bad_t | bad_p | back).any():
         i = int(np.argmax(failing))
         if bad_t[i]:
@@ -220,7 +302,6 @@ def read_centers(path: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _DTYPE = {float: np.float64, int: np.int64}
-_TEXT = {float: repr, int: str}
 
 
 def _parse(kind: type, values: List[str]) -> np.ndarray:
@@ -231,18 +312,55 @@ def _parse(kind: type, values: List[str]) -> np.ndarray:
     return np.fromiter(map(kind, values), dtype=_DTYPE[kind], count=len(values))
 
 
+# Bytes on which csv and loadtxt part ways: a quote, which csv reads as
+# quoting, and the ASCII separators that loadtxt strips around a number as
+# whitespace and float() and int() do not.
+_CSV_ONLY_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _has_csv_only_bytes(path: str) -> bool:
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            if any(b in chunk for b in _CSV_ONLY_BYTES):
+                return True
+    return False
+
+
 def _read_csv(path: str, columns: Columns) -> List[np.ndarray]:
     """The columns of a CSV file with header `columns`, each parsed as its kind.
 
-    Blank lines are skipped.  A wrong header, a wrong field count or a value
-    its column's kind rejects (`3.7`, `nan` or `1e20` in an int column, say)
-    raises ParseError naming the line.
+    Blank lines are skipped.  A wrong header, a wrong field count, a byte
+    that is not UTF-8 or a value its column's kind rejects (`3.7`, `nan` or
+    `1e20` in an int column, say) raises ParseError naming the line.  A path
+    that is not a file raises FileNotFoundError.
     """
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise FileNotFoundError(path)
+    if not _has_csv_only_bytes(path):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                if fh.readline() == ",".join(_names(columns)) + "\n":
+                    if (cols := _bulk_columns(fh, columns, ",")) is not None:
+                        return cols
+        except UnicodeDecodeError:
+            pass
+    return _read_csv_per_line(path, columns)
+
+
+def _read_csv_per_line(path: str, columns: Columns) -> List[np.ndarray]:
+    """_read_csv through csv.reader and one conversion per value: the
+    definition of the format, and the reader that names the line of each
+    error."""
     header = _names(columns)
-    with open(path) as fh:
-        reader = csv.reader(fh)
+
+    def lines(fh):
+        for line_no, raw in enumerate(fh, start=1):
+            if exc := _utf8_error(path, line_no, raw):
+                raise exc
+            yield raw
+
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(lines(fh))
         try:
             if (found := next(reader, None)) != header:
                 raise ParseError(path, 1, f"expected header {header}, got {found}")
@@ -275,18 +393,42 @@ def _read_csv(path: str, columns: Columns) -> List[np.ndarray]:
     return out
 
 
+# Rows per chunk the writer formats at a time: large enough that the
+# per-chunk cost vanishes, small enough that no chunk's Python objects
+# weigh on the peak memory of a long stream.
+_CHUNK_ROWS = 8192
+
+# printf-style, which formats a row of reprs faster than str.format's "{!r}"
+_FORMAT = {float: "%r", int: "%d", str: "%s"}
+
+
+def _values(kind: type, col) -> list:
+    """A column slice as Python values of `kind`: kind(v) for each v, which
+    for an array of the kind's own dtype is what tolist() gives."""
+    if isinstance(col, np.ndarray):
+        if kind in _DTYPE and col.dtype == _DTYPE[kind]:
+            return col.tolist()
+        col = col.tolist()
+    return list(map(kind, col))
+
+
 def _write_csv(path: str, columns: Columns, data: Sequence[Sequence], header: Optional[str] = None, sep=",") -> None:
     """Write equal-length columns `data` as a CSV with header `columns`, or
     as `sep`-separated text under the line `header`.
 
-    Each column is converted to its kind and formatted once: floats with
-    repr (so they read back exactly), ints with str, strings as they are.
+    Each value is converted to its column's kind and formatted: floats with
+    repr (so they read back exactly), ints and strings with str.
     """
     lengths = {len(col) for col in data}
     if len(lengths) > 1:
         raise ValueError(f"columns of unequal length {sorted(lengths)}")
-    # Lazy maps: a list per column would hold one Python object per value
-    # and raise the peak memory of whoever writes a large table.
-    text = [col if kind is str else map(_TEXT[kind], map(kind, col)) for (_, kind), col in zip(columns, data)]
-    lines = [",".join(_names(columns)) if header is None else header, *map(sep.join, zip(*text))]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    n = lengths.pop() if lengths else 0
+    row = sep.join(_FORMAT[kind] for _, kind in columns) + "\n"
+
+    def pieces() -> Iterator[str]:
+        yield (",".join(_names(columns)) if header is None else header) + "\n"
+        for start in range(0, n, _CHUNK_ROWS):
+            chunk = [_values(kind, col[start : start + _CHUNK_ROWS]) for (_, kind), col in zip(columns, data)]
+            yield "".join(map(row.__mod__, zip(*chunk)))
+
+    atomic_write_text(path, pieces())

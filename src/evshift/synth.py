@@ -364,4 +364,4 @@ def load_scene(path: str) -> SceneSpec:
 def save_scene(scene: SceneSpec, path: str) -> None:
     from .io import atomic_write_text
 
-    atomic_write_text(path, json.dumps(scene_to_dict(scene), indent=2) + "\n")
+    atomic_write_text(path, [json.dumps(scene_to_dict(scene), indent=2) + "\n"])

@@ -207,6 +207,23 @@ def test_exit_code_missing_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_code_directory_as_input(tmp_path, capsys):
+    assert main(["filter", "--in", str(tmp_path), "--out", str(tmp_path / "o.txt")]) == 3
+    assert main(["track", "--in", str(tmp_path), "--out", str(tmp_path / "o.csv")]) == 3
+    assert "file not found" in capsys.readouterr().err
+
+
+def test_exit_code_bytes_that_are_not_utf8(tmp_path, capsys):
+    events = tmp_path / "ev.txt"
+    events.write_bytes(b"# 10 10\n0.1 1 2 1\n0.2 1 2 \xff1\n")
+    assert main(["filter", "--in", str(events), "--out", str(tmp_path / "o.txt")]) == 4
+    assert f"{events}:3: not valid UTF-8" in capsys.readouterr().err
+    labeled = tmp_path / "lab.csv"
+    labeled.write_bytes(b"t,x,y,p,packet_id,cluster_id\n0.1,1,2,0,0,\xff1\n")
+    assert main(["track", "--in", str(labeled), "--out", str(tmp_path / "tracks.csv")]) == 4
+    assert f"{labeled}:2: not valid UTF-8" in capsys.readouterr().err
+
+
 def test_exit_code_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("# 10 10\n0.1 1 1\n")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from evshift import io
 from evshift.errors import ParseError, StreamOrderError
 from evshift.events import Event, EventStream, SensorGeometry
 from evshift.io import (
@@ -433,3 +434,245 @@ def test_read_events_keeps_ordered_stream_silent(tmp_path):
         warnings.simplefilter("error")
         events, _ = read_events(path)
     assert len(events) == 3
+
+
+def test_header_only_files_read_back_empty(tmp_path):
+    events_path = tmp_path / "ev.txt"
+    events_path.write_text("# 10 10\n")
+    csv_path = tmp_path / "f.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        events, geom = read_events(str(events_path))
+        assert len(events) == 0 and geom == SensorGeometry(10, 10)
+        for reader, header, _ in INT_FIELD_FILES.values():
+            csv_path.write_text(header + "\n")
+            back = reader(str(csv_path))
+            assert all(len(col) == 0 for col in back) if isinstance(back, tuple) else len(back) == 0
+
+
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path):
+    path = tmp_path / "ev.txt"
+    path.write_bytes(b"# 10 10\n0.1 1 2 1\n0.2 1 2 \xff1\n")
+    with pytest.raises(ParseError) as info:
+        read_events(str(path))
+    assert f"{path}:3: not valid UTF-8" in str(info.value)
+    # the earliest broken line wins, also over a byte in a comment
+    path.write_bytes(b"# 10 10\n0.1 1 2 2\n# \xe9t\xe9\n")
+    with pytest.raises(ParseError) as info:
+        read_events(str(path))
+    assert info.value.line_no == 2
+    path.write_bytes(b"# 10 10\n0.1 1 2 1\n# \xe9t\xe9\n")
+    with pytest.raises(ParseError) as info:
+        read_events(str(path))
+    assert info.value.line_no == 3
+    path.write_bytes("# 10 10\n# été \u2003\n0.1\u20031 2 1\n".encode())
+    events, _ = read_events(str(path))
+    assert len(events) == 1
+
+
+def test_csv_bytes_that_are_not_utf8_name_their_line(tmp_path):
+    path = tmp_path / "lab.csv"
+    path.write_bytes(b"t,x,y,p,packet_id,cluster_id\n0.1,1,2,0,0,1\n\n0.2,1,2,0,0,\xff1\n")
+    with pytest.raises(ParseError) as info:
+        read_labeled_events(str(path))
+    assert f"{path}:4: not valid UTF-8" in str(info.value)
+    path = tmp_path / "tracks.csv"
+    path.write_bytes(b"t,track_id,x,y,vx,vy,status,raw_cx,raw_cy\n0.1,0,1.0,2.0,0.0,0.0,t\xe9ntative,nan,nan\n")
+    with pytest.raises(ParseError) as info:
+        read_tracks(str(path))
+    assert info.value.line_no == 2
+
+
+def test_a_directory_is_not_an_input_file(tmp_path):
+    for reader in (read_events, read_labeled_events, read_tracks, read_truth, read_centers):
+        with pytest.raises(FileNotFoundError):
+            reader(str(tmp_path))
+
+
+# Rows the writers emitted before they wrote in chunks: the oracle for the
+# chunked writer.
+def one_pass_text(columns, data, header=None, sep=","):
+    text = [col if kind is str else map({float: repr, int: str}[kind], map(kind, col)) for (_, kind), col in zip(columns, data)]
+    lines = [",".join(name for name, _ in columns) if header is None else header, *map(sep.join, zip(*text))]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, io._CHUNK_ROWS - 1, io._CHUNK_ROWS, io._CHUNK_ROWS + 1])
+def test_chunked_writes_equal_one_pass_formatting(tmp_path, n):
+    rng = np.random.default_rng(n)
+    t = np.cumsum(rng.exponential(1e-4, n))
+    x, y = rng.integers(0, 240, n), rng.integers(0, 180, n)
+    p = rng.integers(0, 2, n).astype(bool)  # a bool array in an int column writes 1 and 0
+    packet_id, cluster_id = np.arange(n) // 500, rng.integers(-1, 4, n)
+    path = tmp_path / "out"
+
+    write_labeled_events(str(path), LabeledEvents(t, x, y, p, packet_id, cluster_id))
+    assert path.read_text() == one_pass_text(io.LABELED_COLUMNS, [t, x, y, p, packet_id, cluster_id])
+
+    stream = EventStream(t, x, y, p)
+    write_events(str(path), stream, SensorGeometry(240, 180))
+    assert path.read_text() == one_pass_text(io.EVENT_COLUMNS, [t, x, y, stream.p], header="# 240 180", sep=" ")
+
+    # list columns of numpy scalars, as TrackRow fields may hold them
+    status = rng.choice(["tentative", "confirmed", "dead"], n).tolist()
+    rows = [TrackRow(*r) for r in zip(t.tolist(), cluster_id.tolist(), *(rng.normal(size=(4, n)) * 100),
+                                      status, list(t), [math.nan] * n)]
+    write_tracks(str(path), rows)
+    cols = [[getattr(r, name) for r in rows] for name in io.TRACKS_HEADER]
+    assert path.read_text() == one_pass_text(io.TRACKS_COLUMNS, cols)
+
+
+def test_writers_convert_values_to_their_column_kind(tmp_path):
+    path = tmp_path / "tracks.csv"
+    row = TrackRow(np.float64(0.1), np.int64(3), np.float64(1.5), 2, 0.0, 0.0, "confirmed", np.float32(0.5), math.nan)
+    write_tracks(str(path), [row])
+    assert path.read_text().splitlines()[1] == "0.1,3,1.5,2.0,0.0,0.0,confirmed,0.5,nan"
+    write_labeled_events(str(path), LabeledEvents(*(np.array([v]) for v in (0.25, 1, 2, True, 0, False))))
+    assert path.read_text().splitlines()[1] == "0.25,1,2,1,0,0"
+
+
+def test_failed_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "lab.csv"
+    path.write_text("old\n")
+    n = io._CHUNK_ROWS + 3
+    cluster_id = np.zeros(n)
+    cluster_id[-1] = math.nan  # int(nan) fails in the second chunk, after the first was written
+    ints = np.zeros(n, dtype=np.int64)
+    with pytest.raises(ValueError):
+        write_labeled_events(str(path), LabeledEvents(np.zeros(n), ints, ints, ints, ints, cluster_id))
+    assert path.read_text() == "old\n"
+    assert [name for name in os.listdir(tmp_path) if name.startswith(".tmp-")] == []
+
+
+# Tokens on which the bulk parse and the per-line reader could part ways,
+# in groups: spellings both accept, values only the per-line reader
+# accepts, padding, and text neither accepts.
+NUMBER_TOKENS = [
+    ["+1", "-0", "01", ".5", "5.", "1e-3", "nan", "-nan", "Infinity", "-inf", str(2**63 - 1)],
+    ["1_0", "\u0663", '"1"', "\x1c1", "1\x1f", "1\x1d"],
+    [" 1", " 1 ", "\t1", "1\x0c", "\u20031", "\xa01", "1\x85", "1\r"],
+    ["3.7", "7.0", "1e20", str(2**63), "0x10", "x", "", "\u200b1", "1\u200b", "#", "\udcff"],
+]
+STATUS_TOKENS = [
+    [" dead ", "con firmed", "", "déad"],
+    ['"dead"', '"a,b"', '""', 'a"b'],
+    ["a\x1cb", "\x1f", "\u200b", "#"],
+    ["\udcff"],
+]
+FILLER_LINES = ["", "   ", "\t", "# note", "# a b c d", "\x0c", "\udcff"]
+PADDING = [" ", "\t", "\x0c", "\u2003", "\x85", "\x1c"]
+# "\r" alone is a line break when the file is read as text.
+ENDINGS = ["\r\n", "\r", ""]
+
+
+def grouped(groups):
+    """A token from a group drawn first, so that small groups are not rare."""
+    return st.sampled_from(groups).flatmap(st.sampled_from)
+
+
+@st.composite
+def edited_file(draw, header, rows, sep, hard_headers, hard_field, hard_seps):
+    """The text of a file of `header` and `rows` (lists of fields joined by
+    `sep`) after up to three edits, each bringing in one hard token: a
+    field, a separator, the header, a field too many or too few, a filler
+    line, padding or a line ending.  hard_field(row length) is a strategy
+    for (column index, token).
+    """
+    seps = [[sep] * (len(r) - 1) for r in rows]
+    lines = None
+    edits = ["field", "field", "field", "sep", "count", "header", "filler", "pad", "end"]
+    for edit in draw(st.lists(st.sampled_from(edits), max_size=3)):
+        if edit == "header":
+            header = draw(st.sampled_from(hard_headers))
+        elif edit in ("field", "sep", "count") and rows:
+            i = draw(st.integers(0, len(rows) - 1))
+            if edit == "field":
+                j, token = draw(hard_field(len(rows[i])))
+                rows[i][j] = token
+            elif edit == "sep" and seps[i]:
+                seps[i][draw(st.integers(0, len(seps[i]) - 1))] = draw(st.sampled_from(hard_seps))
+            elif edit == "count" and len(rows[i]) > 1:
+                if draw(st.booleans()):
+                    rows[i].pop(), seps[i].pop()
+                else:
+                    rows[i].append("1"), seps[i].append(sep)
+        elif edit in ("filler", "pad", "end"):
+            if lines is None:
+                lines = [[header, "\n"], *([f[0] + "".join(s + v for s, v in zip(g, f[1:])), "\n"] for f, g in zip(rows, seps))]
+            i = draw(st.integers(0, len(lines) - 1))
+            if edit == "filler":
+                lines.insert(i + 1, [draw(st.sampled_from(FILLER_LINES)), "\n"])
+            elif edit == "pad":
+                pad = draw(st.sampled_from(PADDING))
+                lines[i][0] = pad + lines[i][0] if draw(st.booleans()) else lines[i][0] + pad
+            else:
+                lines[i][1] = draw(st.sampled_from(ENDINGS))
+    if lines is None:
+        lines = [[header, "\n"], *([f[0] + "".join(s + v for s, v in zip(g, f[1:])), "\n"] for f, g in zip(rows, seps))]
+    return "".join(line + end for line, end in lines)
+
+
+@st.composite
+def hard_event_files(draw):
+    """(text of an event file from hard tokens, fallback geometry)."""
+    n = draw(st.integers(0, 6))
+    steps = draw(st.lists(st.sampled_from([0.0, 0.25, 0.1 + 0.2, 1.0]), min_size=n, max_size=n))
+    t = np.cumsum(steps).tolist()
+    rows = [[repr(t[i]), *(draw(st.sampled_from(["0", "1", "9"])) for _ in range(2)), draw(st.sampled_from(["0", "1"]))]
+            for i in range(n)]
+    hard_headers = ["", "0 1 1 1", "#10\t10 ", "# 0 10", "# note", "  # 10 10", "# 10", "\udcff# 10 10", "# 10 10 # c"]
+    # The stream rules: a negative, an earlier or a non-finite time, a polarity of 2, an event off the sensor.
+    tokens = grouped(NUMBER_TOKENS + [["-1", "0", "2", "10", "inf"]])
+
+    def fields(size):
+        return st.tuples(st.integers(0, size - 1), tokens)
+
+    text = draw(edited_file("# 10 10", rows, " ", hard_headers, fields, PADDING))
+    return text, draw(st.sampled_from([None, SensorGeometry(4, 4)]))
+
+
+def outcome(read, path, *args):
+    """What a reader did with a file: its columns by repr, or its error."""
+    try:
+        result = read(path, *args)
+    except (ParseError, StreamOrderError) as exc:
+        return type(exc), getattr(exc, "line_no", None), getattr(exc, "index", None), str(exc)
+    if isinstance(result, tuple):  # read_events: (stream, geometry)
+        stream, geom = result
+        return [repr(getattr(stream, name).tolist()) for name in "txyp"], geom
+    return [(col.dtype, repr(col.tolist())) for col in result]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=hard_event_files())
+def test_event_reader_equals_per_line_reader(tmp_path_factory, case):
+    text, geom = case
+    path = tmp_path_factory.mktemp("events") / "ev.txt"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    assert outcome(read_events, str(path), geom) == outcome(io._read_events_per_line, str(path), geom)
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_csv_reader_equals_per_line_reader(tmp_path_factory, name, data):
+    columns = {"labeled": io.LABELED_COLUMNS, "tracks": io.TRACKS_COLUMNS,
+               "truth": io.TRUTH_COLUMNS, "centers": io.CENTERS_COLUMNS}[name]
+    kinds = [kind for _, kind in columns]
+    plain = {float: ["0.5", "-0.0", "1e-300", "nan", "inf", repr(0.1 + 0.2)], int: ["0", "-7", "12"],
+             str: ["confirmed", "dead"]}
+    rows = [[data.draw(st.sampled_from(plain[k])) for k in kinds] for _ in range(data.draw(st.integers(0, 5)))]
+    header = ",".join(io._names(columns))
+    hard_headers = [header + " ", '"t"' + header[1:], header[:-1], header.upper(), "\ufeff" + header]
+
+    def fields(size):
+        # a kind first, so that the one str column is not rare
+        columns = range(min(size, len(kinds)))
+        column = st.sampled_from(list(dict.fromkeys(kinds[:size]))).flatmap(
+            lambda kind: st.sampled_from([j for j in columns if kinds[j] is kind]))
+        return column.flatmap(lambda j: st.tuples(st.just(j), grouped(STATUS_TOKENS if kinds[j] is str else NUMBER_TOKENS)))
+
+    text = data.draw(edited_file(header, rows, ",", hard_headers, fields, [", ", " ,", "\x1c,", ",\u2003", ",\x1f", ";"]))
+    path = tmp_path_factory.mktemp(name) / "f.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    assert outcome(io._read_csv, str(path), columns) == outcome(io._read_csv_per_line, str(path), columns)
