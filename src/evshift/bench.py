@@ -24,7 +24,7 @@ from .errors import ContractViolationError
 from .events import SensorGeometry
 from .io import _write_csv
 from .pipeline import PipelineParams, cluster_packets, make_packets
-from .synth import SceneSpec, generate
+from .synth import GeneratedScene, SceneSpec, generate
 
 DEFAULT_FPS = 30.0
 
@@ -94,7 +94,13 @@ def measure_factor(
     capacity: Optional[float] = None,
 ) -> CostRow:
     """Generate the scene at one speed factor and account its cost."""
-    gen = generate(scene, speed_factor=factor)
+    return _account(generate(scene, speed_factor=factor), factor, params, fps, capacity)
+
+
+def _account(
+    gen: GeneratedScene, factor: float, params: PipelineParams, fps: float, capacity: Optional[float]
+) -> CostRow:
+    """The cost row of one rendered recording, played at speed `factor`."""
     geom = gen.geometry
     packets, n_raw, n_kept = make_packets(gen.events, geom, params)
     duration = gen.duration
@@ -132,11 +138,13 @@ def run_sweep(
     fps: float = DEFAULT_FPS,
     capacity: Optional[float] = None,
 ) -> CostReport:
-    """Cost rows for a scene replayed at several speed factors."""
+    """Cost rows for a scene replayed at several speed factors.  The scene
+    is rendered once: a speed factor only divides the times."""
     if not factors:
         raise ContractViolationError("need at least one speed factor")
     params = params or PipelineParams()
-    rows = [measure_factor(scene, f, params, fps, capacity) for f in factors]
+    gen = generate(scene)
+    rows = [_account(gen.sped_up(f), f, params, fps, capacity) for f in factors]
     return CostReport(rows=rows, geometry=scene.geometry, fps=fps)
 
 

@@ -9,7 +9,6 @@ its value.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -17,6 +16,7 @@ from .clustering import MeanShiftParams
 from .errors import ContractViolationError, ParseError, require_finite
 from .events import DecayParams
 from .filtering import FilterParams
+from .io import read_lines
 from .pipeline import PipelineParams
 from .tracking import TrackerParams
 
@@ -102,22 +102,20 @@ def _coerce(key: str, raw: str, path: str, line_no: int):
 
 
 def load_config_file(path: str) -> Dict[str, object]:
-    """Parse a flat `key = value` file; unknown keys are rejected."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
+    """Parse a flat `key = value` UTF-8 file; unknown keys are rejected.
+    A path that is not a file raises FileNotFoundError."""
     out: Dict[str, object] = {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(path, line_no, f"expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key not in _FIELD_TYPES:
-                raise ParseError(path, line_no, f"unknown configuration key {key!r}")
-            out[key] = _coerce(key, value, path, line_no)
+    for line_no, raw in enumerate(read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(path, line_no, f"expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key not in _FIELD_TYPES:
+            raise ParseError(path, line_no, f"unknown configuration key {key!r}")
+        out[key] = _coerce(key, value, path, line_no)
     return out
 
 

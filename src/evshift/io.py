@@ -69,6 +69,22 @@ def _utf8_error(path: str, line_no: int, raw: str) -> Optional[ParseError]:
     return None
 
 
+def read_lines(path: str) -> List[str]:
+    """The lines of a UTF-8 text file, newlines translated as in text mode.
+
+    A path that is not a file raises FileNotFoundError, a byte that is not
+    UTF-8 a ParseError naming its line.
+    """
+    if not os.path.isfile(path):
+        raise FileNotFoundError(path)
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        lines = fh.readlines()
+    for line_no, raw in enumerate(lines, start=1):
+        if exc := _utf8_error(path, line_no, raw):
+            raise exc
+    return lines
+
+
 _BULK_DTYPE = {float: "f8", int: "i8", str: object}
 
 

@@ -7,10 +7,22 @@ via per-point accumulators, so event density matches the area the outline
 sweeps.  Background noise is a uniform Poisson process.  Every event
 carries the id of the shape that produced it (-1 for noise), and the true
 center trajectory of each shape is reported on a fixed time grid.
+
+Rendering works on blocks of time steps, one (step, outline point) plane
+per quantity.  Events are sparse (about 0.3% of the cells of the
+stability scene fire), so the full planes hold only what every cell
+needs: the velocity, its normal component, the rate and the accumulator.
+The position, rounded to a pixel, is evaluated only at the cells that
+fire, with the same elementwise formula.  Every expression keeps the
+operand order that fixes its rounding, so the streams stay bit for bit
+the same whatever the layout of the work.  Shapes without angle and scale
+keys skip the turn and the scaling, which change no bit that reaches an
+output.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -19,6 +31,7 @@ import numpy as np
 
 from .errors import ContractViolationError, ParseError
 from .events import EventStream, SensorGeometry
+from .io import atomic_write_text, read_lines
 
 NOISE_LABEL = -1
 
@@ -26,7 +39,13 @@ NOISE_LABEL = -1
 # almost parallel to themselves produce no contrast change.
 _SUPPRESS_FRACTION = 0.1
 
-# Time steps rendered per block of a shape's outline motion.
+# Time steps rendered per block of a shape's outline motion.  Each block's
+# accumulator is its start value plus the cumulative sum of the block's
+# increments, so the block length fixes where that sum restarts, and with
+# it the rounding of every accumulator and every event time.  Likewise the
+# rate is |vn| * ds / spacing**2 in that order: folding ds / spacing**2
+# into one factor changes the streams of scenes whose spacing squared is
+# not a power of two.
 _CHUNK_STEPS = 2000
 
 
@@ -67,6 +86,11 @@ class Keyframes:
         else:
             sc = np.ones_like(tx)
         return tx, ty, ang, sc
+
+    @property
+    def translation_only(self) -> bool:
+        """No angle and no scale keys: the pose keeps angle 0 and scale 1."""
+        return not (self.angle or self.scale)
 
 
 @dataclass(frozen=True)
@@ -175,15 +199,38 @@ def _sample_outline(vertices, spacing) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     return np.concatenate(pts), np.concatenate(nrm), np.concatenate(ds)
 
 
-def _pose_points(base: np.ndarray, tx, ty, ang, sc) -> np.ndarray:
-    """World positions (k, n, 2) of base points under the poses at k times."""
-    c, s = np.cos(ang), np.sin(ang)
-    rx = c[:, None] * base[None, :, 0] - s[:, None] * base[None, :, 1]
-    ry = s[:, None] * base[None, :, 0] + c[:, None] * base[None, :, 1]
-    out = np.empty((len(tx), len(base), 2))
-    out[:, :, 0] = tx[:, None] + sc[:, None] * rx
-    out[:, :, 1] = ty[:, None] + sc[:, None] * ry
-    return out
+def _turned(bx, by, c, s) -> Tuple[np.ndarray, np.ndarray]:
+    """(c*bx - s*by, s*bx + c*by): points (bx, by) turned by the angle whose
+    cosine and sine are c and s, elementwise with broadcasting."""
+    x = c * bx
+    x -= s * by
+    y = s * bx
+    y += c * by
+    return x, y
+
+
+def _world(bx, by, tx, ty, c, s, sc) -> Tuple[np.ndarray, np.ndarray]:
+    """World x and y of base points (bx, by) under poses (tx, ty, cosine and
+    sine of the angle, scale), elementwise with broadcasting:
+    tx + sc*(c*bx - s*by) and ty + sc*(s*bx + c*by)."""
+    x, y = _turned(bx, by, c, s)
+    x *= sc
+    x += tx
+    y *= sc
+    y += ty
+    return x, y
+
+
+def _world_planes(bx, by, keys: Keyframes, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Contiguous (k, n) x and y planes of n base points under the poses at
+    k times.  Without angle and scale keys the pose is angle 0 and scale 1,
+    so the planes are tx + bx and ty + by: turning by cos 0 = 1, sin 0 = 0
+    and scaling by 1 are exact up to the sign of a zero, which no output
+    depends on."""
+    tx, ty, ang, sc = keys.pose(times)
+    if keys.translation_only:
+        return tx[:, None] + bx, ty[:, None] + by
+    return _world(bx, by, tx[:, None], ty[:, None], np.cos(ang)[:, None], np.sin(ang)[:, None], sc[:, None])
 
 
 @dataclass
@@ -198,16 +245,32 @@ class GeneratedScene:
     centers_xy: np.ndarray
     duration: float
 
+    def sped_up(self, factor: float) -> "GeneratedScene":
+        """The same recording replayed `factor` times faster: event times,
+        center times and duration divided by the factor, all else shared."""
+        _check_speed_factor(factor)
+        return dataclasses.replace(
+            self,
+            events=EventStream(self.events.t / factor, self.events.x, self.events.y, self.events.p),
+            centers_t=self.centers_t / factor,
+            duration=self.duration / factor,
+        )
+
+
+def _check_speed_factor(factor: float) -> None:
+    if not (factor > 0):
+        raise ContractViolationError(f"speed factor must be > 0, got {factor}")
+
 
 def generate(scene: SceneSpec, speed_factor: float = 1.0) -> GeneratedScene:
     """Render a scene to a time-sorted labeled event stream.
 
     speed_factor compresses the recording uniformly: the same events occur,
     timestamps are divided by the factor, so speeds and event rate scale up
-    by exactly that factor.  Deterministic for a fixed scene and factor.
+    by exactly that factor: generate(scene).sped_up(factor).  Deterministic
+    for a fixed scene and factor.
     """
-    if not (speed_factor > 0):
-        raise ContractViolationError(f"speed factor must be > 0, got {speed_factor}")
+    _check_speed_factor(speed_factor)
     rng = np.random.default_rng(scene.seed)
     # (t, x, y, p, label) column pieces; the empty first one sets the dtypes.
     pieces = [(np.zeros(0), *[np.zeros(0, dtype=int)] * 4)]
@@ -215,39 +278,61 @@ def generate(scene: SceneSpec, speed_factor: float = 1.0) -> GeneratedScene:
     n_steps = int(round(scene.duration / dt))
     for shape in scene.shapes:
         base, normals, ds = _sample_outline(shape.vertices, scene.spacing)
-        n_pts = len(base)
+        bx, by = base.T.copy()
+        nrm_x, nrm_y = normals.T.copy()
         # Accumulator phases staggered along the outline so neighboring
         # points never fire in the same instant; simultaneous bursts would
         # leave nothing for the correlation filter to support.
-        acc = (0.1 * np.arange(n_pts)) % 1.0
+        acc = (0.1 * np.arange(len(base))) % 1.0
         for k0 in range(0, n_steps, _CHUNK_STEPS):
             k1 = min(k0 + _CHUNK_STEPS, n_steps)
             times = (np.arange(k0, k1) + 0.5) * dt
-            tx, ty, ang, sc = shape.keys.pose(times)
-            pos = _pose_points(base, tx, ty, ang, sc)
             half = 0.5 * dt
-            txp, typ, angp, scp = shape.keys.pose(times + half)
-            txm, tym, angm, scm = shape.keys.pose(times - half)
-            vel = (_pose_points(base, txp, typ, angp, scp) - _pose_points(base, txm, tym, angm, scm)) / dt
+            vx, vy = _world_planes(bx, by, shape.keys, times + half)
+            mx, my = _world_planes(bx, by, shape.keys, times - half)
+            vx -= mx
+            vx /= dt
+            vy -= my
+            vy /= dt
+            tx, ty, ang, sc = shape.keys.pose(times)
             c, s = np.cos(ang), np.sin(ang)
-            nx = c[:, None] * normals[None, :, 0] - s[:, None] * normals[None, :, 1]
-            ny = s[:, None] * normals[None, :, 0] + c[:, None] * normals[None, :, 1]
-            vn = vel[:, :, 0] * nx + vel[:, :, 1] * ny
-            speed = np.hypot(vel[:, :, 0], vel[:, :, 1])
-            rate = np.abs(vn) * ds[None, :] / (scene.spacing * scene.spacing)
-            rate[np.abs(vn) < _SUPPRESS_FRACTION * speed] = 0.0
-            grown = acc[None, :] + np.cumsum(rate * dt, axis=0)
-            before = np.vstack([acc[None, :], grown[:-1]])
-            fired = np.floor(grown) > np.floor(before)
+            # Normal velocity vx*nx + vy*ny, (nx, ny) the outward normals
+            # turned by the angle (left as they are without angle and scale
+            # keys, exact as in _world_planes).
+            if shape.keys.translation_only:
+                nx, ny = nrm_x, nrm_y
+            else:
+                nx, ny = _turned(nrm_x, nrm_y, c[:, None], s[:, None])
+            vn = vx * nx
+            vn += vy * ny
+            # Accumulator gain per step: rate * dt, the rate |vn| * ds / spacing**2
+            # or 0 where the outline moves almost along itself.
+            # mx and my are free again: they take the speed and the accumulators.
+            gain = np.abs(vn)
+            speed = np.hypot(vx, vy, out=mx)
+            speed *= _SUPPRESS_FRACTION
+            quiet = gain < speed
+            gain *= ds
+            gain /= scene.spacing * scene.spacing
+            gain[quiet] = 0.0
+            gain *= dt
+            grown = np.cumsum(gain, axis=0, out=my)
+            grown += acc
+            # A point fires in each step where the floor of its accumulator rises.
+            level = np.floor(grown)
+            fired = np.empty(level.shape, dtype=bool)
+            np.greater(level[0], np.floor(acc), out=fired[0])
+            np.greater(level[1:], level[:-1], out=fired[1:])
+            kk, ii = np.divmod(np.flatnonzero(fired), len(base))
+            before = np.where(kk > 0, grown[kk - 1, ii], acc[ii])
             acc = grown[-1].copy()
-            if not fired.any():
+            if not len(kk):
                 continue
-            kk, ii = np.nonzero(fired)
-            r = rate[kk, ii]
-            frac = (np.floor(before[kk, ii]) + 1.0 - before[kk, ii]) / np.maximum(r * dt, 1e-300)
+            frac = (np.floor(before) + 1.0 - before) / np.maximum(gain[kk, ii], 1e-300)
             t_emit = (kk + k0) * dt + np.clip(frac, 0.0, 1.0) * dt
-            px = np.rint(pos[kk, ii, 0]).astype(int)
-            py = np.rint(pos[kk, ii, 1]).astype(int)
+            x, y = _world(bx[ii], by[ii], tx[kk], ty[kk], c[kk], s[kk], sc[kk])
+            px = np.rint(x).astype(int)
+            py = np.rint(y).astype(int)
             inside = (px >= 0) & (px < scene.width) & (py >= 0) & (py < scene.height)
             if shape.polarity == "motion":
                 pol = (vn[kk, ii] > 0).astype(int)
@@ -266,7 +351,7 @@ def generate(scene: SceneSpec, speed_factor: float = 1.0) -> GeneratedScene:
         ))
     t, x, y, p, lab = map(np.concatenate, zip(*pieces))
     order = np.argsort(t, kind="stable")
-    events = EventStream(t[order] / speed_factor, x[order], y[order], p[order])
+    events = EventStream(t[order], x[order], y[order], p[order])
     ct = np.arange(0.0, scene.duration + 0.5 * scene.centers_stride, scene.centers_stride)
     ct = ct[ct <= scene.duration + 1e-12]
     centers = [(np.zeros(0), np.zeros(0, dtype=int), np.zeros((0, 2)))]  # (t, object, xy) pieces
@@ -276,7 +361,7 @@ def generate(scene: SceneSpec, speed_factor: float = 1.0) -> GeneratedScene:
         c, s = np.cos(ang), np.sin(ang)
         cx = tx + sc * (c * cx0 - s * cy0)
         cy = ty + sc * (s * cx0 + c * cy0)
-        centers.append((ct / speed_factor, np.full(len(ct), shape.shape_id), np.stack([cx, cy], axis=1)))
+        centers.append((ct, np.full(len(ct), shape.shape_id), np.stack([cx, cy], axis=1)))
     centers_t, centers_obj, centers_xy = map(np.concatenate, zip(*centers))
     return GeneratedScene(
         events=events,
@@ -285,8 +370,8 @@ def generate(scene: SceneSpec, speed_factor: float = 1.0) -> GeneratedScene:
         centers_t=centers_t,
         centers_obj=centers_obj,
         centers_xy=centers_xy,
-        duration=scene.duration / speed_factor,
-    )
+        duration=scene.duration,
+    ).sped_up(speed_factor)
 
 
 def scene_to_dict(scene: SceneSpec) -> dict:
@@ -350,9 +435,10 @@ def scene_from_dict(d: dict) -> SceneSpec:
 
 
 def load_scene(path: str) -> SceneSpec:
+    """Read a scene saved by save_scene, a UTF-8 JSON file.  A path that is
+    not a file raises FileNotFoundError, anything else unreadable ParseError."""
     try:
-        with open(path) as fh:
-            d = json.load(fh)
+        d = json.loads("".join(read_lines(path)))
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
     try:
@@ -362,6 +448,4 @@ def load_scene(path: str) -> SceneSpec:
 
 
 def save_scene(scene: SceneSpec, path: str) -> None:
-    from .io import atomic_write_text
-
     atomic_write_text(path, [json.dumps(scene_to_dict(scene), indent=2) + "\n"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evshift import bench
 from evshift.bench import (
     COST_HEADER,
     _shed_packets,
@@ -12,7 +13,7 @@ from evshift.bench import (
 from evshift.errors import ContractViolationError
 from evshift.events import SensorGeometry
 from evshift.pipeline import PipelineParams
-from evshift.synth import Keyframes, SceneSpec, ShapeSpec
+from evshift.synth import Keyframes, SceneSpec, ShapeSpec, generate
 
 SQUARE = ((-7.0, -7.0), (7.0, -7.0), (7.0, 7.0), (-7.0, 7.0))
 
@@ -119,3 +120,18 @@ def test_cost_csv_format(tmp_path):
 def test_run_sweep_rejects_empty_factors():
     with pytest.raises(ContractViolationError):
         run_sweep(sweep_scene(), [])
+
+
+def test_sweep_renders_once_and_matches_measure_factor(monkeypatch):
+    scene, params = sweep_scene(), small_params()
+    want = [measure_factor(scene, f, params) for f in (1.0, 2.0, 4.0)]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "generate", counted)
+    report = run_sweep(scene, [1.0, 2.0, 4.0], params=params)
+    assert len(calls) == 1
+    assert report.rows == want

@@ -224,6 +224,35 @@ def test_exit_code_bytes_that_are_not_utf8(tmp_path, capsys):
     assert f"{labeled}:2: not valid UTF-8" in capsys.readouterr().err
 
 
+def test_exit_code_scene_directory(tmp_path, capsys):
+    assert main(["synth", "--scene", str(tmp_path), "--out", str(tmp_path / "o.txt")]) == 3
+    assert f"file not found: {tmp_path}" in capsys.readouterr().err
+
+
+def test_exit_code_config_directory(tmp_path, scene_path, capsys):
+    ev = str(tmp_path / "ev.txt")
+    assert main(["synth", "--scene", scene_path, "--out", ev]) == 0
+    capsys.readouterr()
+    assert main(["filter", "--in", ev, "--out", str(tmp_path / "o.txt"), "--config", str(tmp_path)]) == 3
+    assert f"file not found: {tmp_path}" in capsys.readouterr().err
+    assert not (tmp_path / "o.txt").exists()
+
+
+def test_exit_code_scene_not_utf8(tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    scene.write_bytes(b'{\n  "width": 10,\n  "name": "\xff"\n}\n')
+    assert main(["synth", "--scene", str(scene), "--out", str(tmp_path / "o.txt")]) == 4
+    assert f"{scene}:3: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_exit_code_config_not_utf8(tmp_path, scene_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"bandwidth = 0.1\n# \xff\n")
+    assert main(["synth", "--scene", scene_path, "--out", str(tmp_path / "o.txt"), "--config", str(cfg)]) == 4
+    assert f"{cfg}:2: not valid UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "o.txt").exists()
+
+
 def test_exit_code_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("# 10 10\n0.1 1 1\n")

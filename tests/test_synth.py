@@ -1,14 +1,23 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evshift.errors import ContractViolationError, ParseError
+from evshift.events import EventStream
+from evshift.scenes import build_scene
 from evshift.synth import (
+    _CHUNK_STEPS,
     NOISE_LABEL,
+    GeneratedScene,
     Keyframes,
     SceneSpec,
     ShapeSpec,
+    _sample_outline,
     generate,
     load_scene,
     regular_polygon,
@@ -201,3 +210,182 @@ def test_scene_validation():
         SceneSpec(width=10, height=10, duration=1.0, shapes=(shape, shape))
     with pytest.raises(ContractViolationError):
         generate(SceneSpec(width=10, height=10, duration=1.0, shapes=()), speed_factor=0.0)
+
+
+# --- Oracle: the plain renderer, with full position and velocity arrays for
+# every (time step, outline point) cell.  generate must match it bit for bit.
+
+
+def _oracle_pose_points(base, tx, ty, ang, sc):
+    c, s = np.cos(ang), np.sin(ang)
+    rx = c[:, None] * base[None, :, 0] - s[:, None] * base[None, :, 1]
+    ry = s[:, None] * base[None, :, 0] + c[:, None] * base[None, :, 1]
+    out = np.empty((len(tx), len(base), 2))
+    out[:, :, 0] = tx[:, None] + sc[:, None] * rx
+    out[:, :, 1] = ty[:, None] + sc[:, None] * ry
+    return out
+
+
+def oracle_generate(scene, speed_factor=1.0, folded_rate=False):
+    """Full (k, n, 2) position and velocity arrays for every cell of every
+    chunk.  folded_rate computes the rate as |vn| * (ds / spacing**2), an
+    order that rounds differently."""
+    rng = np.random.default_rng(scene.seed)
+    pieces = [(np.zeros(0), *[np.zeros(0, dtype=int)] * 4)]
+    dt = scene.dt
+    n_steps = int(round(scene.duration / dt))
+    for shape in scene.shapes:
+        base, normals, ds = _sample_outline(shape.vertices, scene.spacing)
+        acc = (0.1 * np.arange(len(base))) % 1.0
+        for k0 in range(0, n_steps, _CHUNK_STEPS):
+            k1 = min(k0 + _CHUNK_STEPS, n_steps)
+            times = (np.arange(k0, k1) + 0.5) * dt
+            tx, ty, ang, sc = shape.keys.pose(times)
+            pos = _oracle_pose_points(base, tx, ty, ang, sc)
+            half = 0.5 * dt
+            txp, typ, angp, scp = shape.keys.pose(times + half)
+            txm, tym, angm, scm = shape.keys.pose(times - half)
+            vel = (_oracle_pose_points(base, txp, typ, angp, scp) - _oracle_pose_points(base, txm, tym, angm, scm)) / dt
+            c, s = np.cos(ang), np.sin(ang)
+            nx = c[:, None] * normals[None, :, 0] - s[:, None] * normals[None, :, 1]
+            ny = s[:, None] * normals[None, :, 0] + c[:, None] * normals[None, :, 1]
+            vn = vel[:, :, 0] * nx + vel[:, :, 1] * ny
+            speed = np.hypot(vel[:, :, 0], vel[:, :, 1])
+            if folded_rate:
+                rate = np.abs(vn) * (ds[None, :] / (scene.spacing * scene.spacing))
+            else:
+                rate = np.abs(vn) * ds[None, :] / (scene.spacing * scene.spacing)
+            rate[np.abs(vn) < 0.1 * speed] = 0.0
+            grown = acc[None, :] + np.cumsum(rate * dt, axis=0)
+            before = np.vstack([acc[None, :], grown[:-1]])
+            fired = np.floor(grown) > np.floor(before)
+            acc = grown[-1].copy()
+            if not fired.any():
+                continue
+            kk, ii = np.nonzero(fired)
+            r = rate[kk, ii]
+            frac = (np.floor(before[kk, ii]) + 1.0 - before[kk, ii]) / np.maximum(r * dt, 1e-300)
+            t_emit = (kk + k0) * dt + np.clip(frac, 0.0, 1.0) * dt
+            px = np.rint(pos[kk, ii, 0]).astype(int)
+            py = np.rint(pos[kk, ii, 1]).astype(int)
+            inside = (px >= 0) & (px < scene.width) & (py >= 0) & (py < scene.height)
+            if shape.polarity == "motion":
+                pol = (vn[kk, ii] > 0).astype(int)
+            else:
+                pol = np.full(len(kk), int(shape.polarity))
+            label = np.full(int(inside.sum()), shape.shape_id)
+            pieces.append((t_emit[inside], px[inside], py[inside], pol[inside], label))
+    if scene.noise_rate > 0:
+        n_noise = int(rng.poisson(scene.noise_rate * scene.duration))
+        pieces.append((
+            rng.uniform(0.0, scene.duration, n_noise),
+            rng.integers(0, scene.width, n_noise),
+            rng.integers(0, scene.height, n_noise),
+            rng.integers(0, 2, n_noise),
+            np.full(n_noise, NOISE_LABEL),
+        ))
+    t, x, y, p, lab = map(np.concatenate, zip(*pieces))
+    order = np.argsort(t, kind="stable")
+    ct = np.arange(0.0, scene.duration + 0.5 * scene.centers_stride, scene.centers_stride)
+    ct = ct[ct <= scene.duration + 1e-12]
+    centers = [(np.zeros(0), np.zeros(0, dtype=int), np.zeros((0, 2)))]
+    for shape in scene.shapes:
+        cx0, cy0 = shoelace_centroid(shape.vertices)
+        tx, ty, ang, sc = shape.keys.pose(ct)
+        c, s = np.cos(ang), np.sin(ang)
+        cx = tx + sc * (c * cx0 - s * cy0)
+        cy = ty + sc * (s * cx0 + c * cy0)
+        centers.append((ct / speed_factor, np.full(len(ct), shape.shape_id), np.stack([cx, cy], axis=1)))
+    centers_t, centers_obj, centers_xy = map(np.concatenate, zip(*centers))
+    return GeneratedScene(
+        events=EventStream(t[order] / speed_factor, x[order], y[order], p[order]),
+        labels=lab[order].astype(int),
+        geometry=scene.geometry,
+        centers_t=centers_t,
+        centers_obj=centers_obj,
+        centers_xy=centers_xy,
+        duration=scene.duration / speed_factor,
+    )
+
+
+def rendered_bits(g):
+    """Every output of generate, floats as their bit patterns."""
+    cols = {
+        "t": g.events.t, "x": g.events.x, "y": g.events.y, "p": g.events.p, "labels": g.labels,
+        "centers_t": g.centers_t, "centers_obj": g.centers_obj, "centers_xy": g.centers_xy,
+        "duration": np.float64(g.duration),
+    }
+    return {k: np.asarray(v).view(np.int64) if np.asarray(v).dtype == np.float64 else np.asarray(v) for k, v in cols.items()}
+
+
+def assert_same_bits(g, oracle):
+    got, want = rendered_bits(g), rendered_bits(oracle)
+    for key in want:
+        assert got[key].dtype == want[key].dtype, key
+        assert np.array_equal(got[key], want[key]), key
+
+
+def _not_power_of_two(v):
+    return math.frexp(v)[0] != 0.5
+
+
+@st.composite
+def scenes_with_keys(draw):
+    dt = draw(st.sampled_from([1e-4, 7e-5, 2.3e-4]))
+    n_steps = draw(st.integers(300, 5000).filter(lambda n: n % _CHUNK_STEPS))
+    duration = n_steps * dt
+    width, height = draw(st.integers(40, 120)), draw(st.integers(30, 90))
+    key_floats = st.floats(-0.2, 1.2, allow_nan=False)
+    shapes = []
+    for shape_id in range(draw(st.integers(1, 3))):
+        n_keys = draw(st.integers(1, 3))
+        t = sorted(draw(st.lists(st.floats(0.0, duration), min_size=n_keys, max_size=n_keys, unique=True)))
+        if any(b - a < 1e-6 for a, b in zip(t, t[1:])):
+            t = [t[0]]
+        n_keys = len(t)
+
+        def coords(size):
+            return tuple(size * v for v in draw(st.lists(key_floats, min_size=n_keys, max_size=n_keys)))
+
+        extra = {}
+        if draw(st.booleans()):
+            extra["angle"] = tuple(draw(st.lists(st.floats(-4.0, 4.0), min_size=n_keys, max_size=n_keys)))
+        if draw(st.booleans()):
+            extra["scale"] = tuple(draw(st.lists(st.floats(0.4, 1.8), min_size=n_keys, max_size=n_keys)))
+        keys = Keyframes(t=tuple(t), x=coords(width), y=coords(height), **extra)
+        vertices = regular_polygon(draw(st.integers(3, 8)), draw(st.floats(3.0, 20.0)), draw(st.floats(0.0, 3.2)))
+        polarity = draw(st.sampled_from(["motion", 0, 1]))
+        shapes.append(ShapeSpec(shape_id=shape_id, vertices=vertices, keys=keys, polarity=polarity))
+    return SceneSpec(
+        width=width,
+        height=height,
+        duration=duration,
+        shapes=tuple(shapes),
+        spacing=draw(st.floats(0.37, 1.3).filter(_not_power_of_two)),
+        noise_rate=draw(st.sampled_from([0.0, 400.0])),
+        seed=draw(st.integers(0, 2**16)),
+        dt=dt,
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(scene=scenes_with_keys(), factor=st.sampled_from([1.0, 2.0, 4.0]))
+def test_generate_matches_full_plane_oracle(scene, factor):
+    assert_same_bits(generate(scene, factor), oracle_generate(scene, factor))
+
+
+@pytest.mark.parametrize("name", ["reference", "tracking", "stability"])
+def test_builtin_scenes_match_full_plane_oracle(name):
+    scene = build_scene(name)
+    if name == "stability":
+        scene = dataclasses.replace(scene, duration=0.5)
+    assert_same_bits(generate(scene), oracle_generate(scene))
+
+
+def test_oracle_tells_folded_rate_apart():
+    # tracking has spacing 0.6: dividing by 0.36 first rounds differently
+    scene = build_scene("tracking")
+    got = rendered_bits(generate(scene))
+    folded = rendered_bits(oracle_generate(scene, folded_rate=True))
+    assert not np.array_equal(got["t"], folded["t"])
+
