@@ -125,6 +125,11 @@ class EventStream(Sequence[Event]):
     def __iter__(self) -> Iterator[Event]:
         return map(Event, self.t.tolist(), self.x.tolist(), self.y.tolist(), self.p.tolist())
 
+    @staticmethod
+    def concat(parts: Sequence["EventStream"]) -> "EventStream":
+        """The streams one after another."""
+        return EventStream(*(np.concatenate([getattr(s, c) for s in parts]) for c in "txyp"))
+
     def first_disorder(self) -> int:
         """Index of the first event older than the one before it, or len(self)."""
         back = self.t[1:] < self.t[:-1]

@@ -6,15 +6,18 @@ labels and center trajectories are CSV files whose columns are declared
 once, as (name, kind) pairs, and that one reader and one writer serve.
 Every file is UTF-8 text.
 
-Each reader first parses the whole body of a file in one np.loadtxt call,
-which builds no Python object per line.  It keeps that result only for a
-file in the plain form the writers produce: line 1 the exact header, every
-later line a row and, in an event file, every event passing the stream
-rules.  Anything else (comments, quoted fields, a value loadtxt rejects, a
-broken rule, a byte that is not UTF-8) goes to the per-line reader, which
-defines the format and names the offending line.  loadtxt accepts a strict
-subset of what the per-line reader accepts, with the same values (its
-float parse is Python's), so both paths return the same columns.
+A file in the plain form the writers produce (line 1 the exact header,
+every later line a row and, in an event file, every event passing the
+stream rules) is read in chunks of _CHUNK_ROWS lines, each parsed by one
+np.loadtxt call, which builds no Python object per line.  event_chunks and
+labeled_chunks hand out those chunks one at a time, so that a command can
+stream a file of any length; the whole-file readers concatenate them.  A
+chunk reader meets anything else (comments, quoted fields, a value loadtxt
+rejects, a broken rule, a byte that is not UTF-8) by raising Unstreamable,
+and the whole-file readers then go to the per-line reader, which defines
+the format and names the offending line.  loadtxt accepts a strict subset
+of what the per-line reader accepts, with the same values (its float parse
+is Python's), so both paths return the same columns.
 
 Writers stream chunks of rows into a temp file that is then renamed over
 the target, so readers never observe a partial file and no writer holds
@@ -25,17 +28,24 @@ produces identical bytes and reads back exactly.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import re
 import tempfile
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ContractViolationError, ParseError, StreamOrderError
 from .events import Event, EventStream, SensorGeometry, as_stream
+
+
+# Rows per chunk that a reader parses and a writer formats at a time: large
+# enough that the per-chunk cost vanishes, small enough that no chunk's
+# Python objects weigh on the peak memory of a long stream.
+_CHUNK_ROWS = 8192
 
 
 def _fmt(v: float) -> str:
@@ -85,30 +95,52 @@ def read_lines(path: str) -> List[str]:
     return lines
 
 
+class Unstreamable(Exception):
+    """A file that the chunk readers cannot take as it stands; the
+    whole-file readers decide what it holds or which error it raises."""
+
+
 _BULK_DTYPE = {float: "f8", int: "i8", str: object}
 
 
-def _bulk_columns(fh, columns: Columns, delimiter: Optional[str]) -> Optional[List[np.ndarray]]:
-    """The rest of the open text file `fh` as one array per column of
-    `columns`, parsed in one np.loadtxt call split on `delimiter` (None:
-    runs of whitespace), or None where loadtxt raises or warns (an empty
-    body warns).  loadtxt's comment and quote handling are off: a `#` or a
-    quote makes a value it rejects, or, in a str column, part of the value.
+def _bulk_columns(lines: List[str], columns: Columns, delimiter: Optional[str]) -> Optional[List[np.ndarray]]:
+    """Text `lines` as one array per column of `columns`, parsed in one
+    np.loadtxt call split on `delimiter` (None: runs of whitespace), or None
+    where loadtxt raises or warns (lines that are all blank warn).
+    loadtxt's comment and quote handling are off: a `#` or a quote makes a
+    value it rejects, or, in a str column, part of the value.
     """
     # An unsized 'U' field reads every string as '' (numpy 2.4); object keeps each field.
     dtype = [(name, _BULK_DTYPE[kind]) for name, kind in columns]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(fh, dtype=dtype, delimiter=delimiter, comments=None, quotechar=None, ndmin=1)
+            table = np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, quotechar=None, ndmin=1)
     except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
         return None
     return [table[name].astype(str) if kind is str else table[name].copy() for name, kind in columns]
 
 
+def _chunks(fh, columns: Columns, delimiter: Optional[str]) -> Iterator[List[np.ndarray]]:
+    """The columns of each run of _CHUNK_ROWS lines left in the open text
+    file `fh`, through _bulk_columns; Unstreamable where that fails."""
+    while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
+        if (cols := _bulk_columns(lines, columns, delimiter)) is None:
+            raise Unstreamable("a chunk of lines that loadtxt does not take")
+        yield cols
+
+
 def write_events(path: str, events: Iterable[Event], geom: SensorGeometry) -> None:
-    s = as_stream(events)
-    _write_csv(path, EVENT_COLUMNS, [s.t, s.x, s.y, s.p], header=f"# {geom.width} {geom.height}", sep=" ")
+    atomic_write_text(path, itertools.chain([event_header(geom)], event_lines(as_stream(events))))
+
+
+def event_header(geom: SensorGeometry) -> str:
+    return f"# {geom.width} {geom.height}\n"
+
+
+def event_lines(s: EventStream) -> Iterator[str]:
+    """The lines of events `s`, in pieces of up to _CHUNK_ROWS."""
+    return _lines(EVENT_COLUMNS, [s.t, s.x, s.y, s.p], sep=" ")
 
 
 # A line 1 that the per-line reader takes as the geometry header.
@@ -137,21 +169,56 @@ def read_events(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[Event
     then are events outside the sensor rejected (ParseError).  A path that
     is not a file raises FileNotFoundError.
     """
+    try:
+        file_geom, chunks = event_chunks(path)
+        parts = list(chunks)
+    except Unstreamable:
+        parts = []
+    if parts:
+        return EventStream.concat(parts), file_geom
+    return _read_events_per_line(path, geom)
+
+
+def event_chunks(path: str) -> Tuple[SensorGeometry, Iterator[EventStream]]:
+    """The geometry of a writer-form event file and an iterator over its
+    events in chunks of up to _CHUNK_ROWS.
+
+    The header is read at once, the chunks as they are iterated.  A file
+    the per-line reader might read differently or reject, and a header-only
+    file, raises Unstreamable, at once or from the iterator: no `# W H`
+    header on line 1, a chunk loadtxt does not take or a byte that is not
+    UTF-8, an event that breaks a stream rule or lies outside the sensor,
+    or a chunk that starts before the previous one ends.  A path that is
+    not a file raises FileNotFoundError.
+    """
     if not os.path.isfile(path):
         raise FileNotFoundError(path)
     try:
         with open(path, encoding="utf-8") as fh:
             size = _GEOMETRY_HEADER.fullmatch(fh.readline())
-            cols = _bulk_columns(fh, EVENT_COLUMNS, None) if size else None
     except UnicodeDecodeError:
-        cols = None
-    if cols is not None and int(size[1]) > 0 and int(size[2]) > 0:
-        file_geom = SensorGeometry(int(size[1]), int(size[2]))
-        t, x, y, p = cols
-        bad_t, bad_p, back = _event_faults(t, p)
-        if not (bad_t | bad_p | back).any() and file_geom.contains(x, y).all():
-            return EventStream(t, x, y, p), file_geom
-    return _read_events_per_line(path, geom)
+        size = None
+    if not size or int(size[1]) == 0 or int(size[2]) == 0:
+        raise Unstreamable("no positive '# W H' header on line 1")
+    geom = SensorGeometry(int(size[1]), int(size[2]))
+
+    def chunks() -> Iterator[EventStream]:
+        last = -np.inf
+        try:
+            with open(path, encoding="utf-8") as fh:
+                fh.readline()
+                for t, x, y, p in _chunks(fh, EVENT_COLUMNS, None):
+                    bad_t, bad_p, back = _event_faults(t, p)
+                    if t[0] < last or (bad_t | bad_p | back).any() or not geom.contains(x, y).all():
+                        raise Unstreamable("an event that breaks a stream rule")
+                    last = t[-1]
+                    yield EventStream(t, x, y, p)
+        except UnicodeDecodeError:
+            raise Unstreamable("a byte that is not UTF-8") from None
+        if last == -np.inf:
+            raise Unstreamable("no events")
+
+    return geom, chunks()
 
 
 def _read_events_per_line(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[EventStream, SensorGeometry]:
@@ -243,6 +310,13 @@ class LabeledEvents:
     def __len__(self) -> int:
         return len(self.t)
 
+    def __getitem__(self, key: Union[slice, np.ndarray]) -> "LabeledEvents":
+        return LabeledEvents(*(getattr(self, name)[key] for name in LABELED_HEADER))
+
+    @staticmethod
+    def concat(parts: Sequence["LabeledEvents"]) -> "LabeledEvents":
+        return LabeledEvents(*(np.concatenate([getattr(p, name) for p in parts]) for name in LABELED_HEADER))
+
     def packet_groups(self) -> Iterator[Tuple[int, np.ndarray]]:
         """(packet_id, row indices) per packet in ascending packet id order;
         the indices of one packet keep file order."""
@@ -253,11 +327,22 @@ class LabeledEvents:
 
 
 def write_labeled_events(path: str, rows: LabeledEvents) -> None:
-    _write_csv(path, LABELED_COLUMNS, [getattr(rows, name) for name in LABELED_HEADER])
+    atomic_write_text(path, itertools.chain([csv_header(LABELED_COLUMNS)], labeled_lines(rows)))
+
+
+def labeled_lines(rows: LabeledEvents) -> Iterator[str]:
+    """The CSV lines of labeled rows, in pieces of up to _CHUNK_ROWS."""
+    return _lines(LABELED_COLUMNS, [getattr(rows, name) for name in LABELED_HEADER])
 
 
 def read_labeled_events(path: str) -> LabeledEvents:
     return LabeledEvents(*_read_csv(path, LABELED_COLUMNS))
+
+
+def labeled_chunks(path: str) -> Iterator[LabeledEvents]:
+    """The rows of a writer-form labeled file in chunks of up to
+    _CHUNK_ROWS; see _csv_chunks for the files that raise Unstreamable."""
+    return (LabeledEvents(*cols) for cols in _csv_chunks(path, LABELED_COLUMNS))
 
 
 TRACKS_COLUMNS: Columns = (
@@ -281,7 +366,12 @@ class TrackRow:
 
 
 def write_tracks(path: str, rows: Sequence[TrackRow]) -> None:
-    _write_csv(path, TRACKS_COLUMNS, [[getattr(r, name) for r in rows] for name in TRACKS_HEADER])
+    atomic_write_text(path, itertools.chain([csv_header(TRACKS_COLUMNS)], track_lines(rows)))
+
+
+def track_lines(rows: Sequence[TrackRow]) -> Iterator[str]:
+    """The CSV lines of track rows, in pieces of up to _CHUNK_ROWS."""
+    return _lines(TRACKS_COLUMNS, [[getattr(r, name) for r in rows] for name in TRACKS_HEADER])
 
 
 def read_tracks(path: str) -> List[TrackRow]:
@@ -350,17 +440,34 @@ def _read_csv(path: str, columns: Columns) -> List[np.ndarray]:
     `1e20` in an int column, say) raises ParseError naming the line.  A path
     that is not a file raises FileNotFoundError.
     """
+    try:
+        parts = list(_csv_chunks(path, columns))
+    except Unstreamable:
+        parts = []
+    if parts:
+        return list(map(np.concatenate, zip(*parts)))
+    return _read_csv_per_line(path, columns)
+
+
+def _csv_chunks(path: str, columns: Columns) -> Iterator[List[np.ndarray]]:
+    """The columns of a writer-form CSV file with header `columns`, in
+    chunks of up to _CHUNK_ROWS rows.  A file the per-line reader might
+    read differently or reject raises Unstreamable: a header that is not
+    exactly line 1, a byte of _CSV_ONLY_BYTES or one that is not UTF-8, or
+    a chunk loadtxt does not take.  A path that is not a file raises
+    FileNotFoundError.
+    """
     if not os.path.isfile(path):
         raise FileNotFoundError(path)
-    if not _has_csv_only_bytes(path):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                if fh.readline() == ",".join(_names(columns)) + "\n":
-                    if (cols := _bulk_columns(fh, columns, ",")) is not None:
-                        return cols
-        except UnicodeDecodeError:
-            pass
-    return _read_csv_per_line(path, columns)
+    if _has_csv_only_bytes(path):
+        raise Unstreamable("bytes that csv and loadtxt read differently")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if fh.readline() != csv_header(columns):
+                raise Unstreamable("not the exact header on line 1")
+            yield from _chunks(fh, columns, ",")
+    except UnicodeDecodeError:
+        raise Unstreamable("a byte that is not UTF-8") from None
 
 
 def _read_csv_per_line(path: str, columns: Columns) -> List[np.ndarray]:
@@ -408,12 +515,6 @@ def _read_csv_per_line(path: str, columns: Columns) -> List[np.ndarray]:
                     raise ParseError(path, int(line_nos[i]), f"{name} must be {kind.__name__}, got {v!r}") from exc
     return out
 
-
-# Rows per chunk the writer formats at a time: large enough that the
-# per-chunk cost vanishes, small enough that no chunk's Python objects
-# weigh on the peak memory of a long stream.
-_CHUNK_ROWS = 8192
-
 # printf-style, which formats a row of reprs faster than str.format's "{!r}"
 _FORMAT = {float: "%r", int: "%d", str: "%s"}
 
@@ -428,9 +529,13 @@ def _values(kind: type, col) -> list:
     return list(map(kind, col))
 
 
-def _write_csv(path: str, columns: Columns, data: Sequence[Sequence], header: Optional[str] = None, sep=",") -> None:
-    """Write equal-length columns `data` as a CSV with header `columns`, or
-    as `sep`-separated text under the line `header`.
+def csv_header(columns: Columns) -> str:
+    return ",".join(_names(columns)) + "\n"
+
+
+def _lines(columns: Columns, data: Sequence[Sequence], sep: str = ",") -> Iterator[str]:
+    """The lines of equal-length columns `data`, `sep`-separated, in pieces
+    of up to _CHUNK_ROWS lines.
 
     Each value is converted to its column's kind and formatted: floats with
     repr (so they read back exactly), ints and strings with str.
@@ -442,9 +547,13 @@ def _write_csv(path: str, columns: Columns, data: Sequence[Sequence], header: Op
     row = sep.join(_FORMAT[kind] for _, kind in columns) + "\n"
 
     def pieces() -> Iterator[str]:
-        yield (",".join(_names(columns)) if header is None else header) + "\n"
         for start in range(0, n, _CHUNK_ROWS):
             chunk = [_values(kind, col[start : start + _CHUNK_ROWS]) for (_, kind), col in zip(columns, data)]
             yield "".join(map(row.__mod__, zip(*chunk)))
 
-    atomic_write_text(path, pieces())
+    return pieces()
+
+
+def _write_csv(path: str, columns: Columns, data: Sequence[Sequence]) -> None:
+    """Write equal-length columns `data` as a CSV with header `columns`."""
+    atomic_write_text(path, itertools.chain([csv_header(columns)], _lines(columns, data)))

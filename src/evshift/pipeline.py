@@ -66,8 +66,11 @@ def make_packets(
     return packets, len(events), len(kept)
 
 
-def labeled_from_packets(packets: Sequence[Packet], labelings: Sequence[ClusterLabeling]) -> LabeledEvents:
-    """Flatten per-packet labels into one row per event."""
+def labeled_from_packets(
+    packets: Sequence[Packet], labelings: Sequence[ClusterLabeling], first_id: int = 0
+) -> LabeledEvents:
+    """Flatten per-packet labels into one row per event, packet ids counted
+    from `first_id`."""
     if len(packets) != len(labelings):
         raise ContractViolationError(f"{len(packets)} packets but {len(labelings)} labelings")
 
@@ -79,33 +82,41 @@ def labeled_from_packets(packets: Sequence[Packet], labelings: Sequence[ClusterL
         x=cat([pkt.x for pkt in packets], int),
         y=cat([pkt.y for pkt in packets], int),
         p=cat([pkt.p for pkt in packets], int),
-        packet_id=np.repeat(np.arange(len(packets)), [len(pkt) for pkt in packets]),
+        packet_id=np.repeat(np.arange(first_id, first_id + len(packets)), [len(pkt) for pkt in packets]),
         cluster_id=cat([lab.labels for lab in labelings], int),
     )
 
 
 def track_labelings(labeled: LabeledEvents, params: TrackerParams) -> tuple[List[TrackRow], Tracker]:
-    """Feed per-packet cluster centroids through the tracker, packet by packet.
-
-    Packets are taken in ascending packet id; each is observed at its newest
-    timestamp.  Emits one row per live track per packet; raw centroid columns
-    are NaN for packets where the track was coasting on prediction alone.
-    """
+    """Feed per-packet cluster centroids through the tracker, packet by
+    packet in ascending packet id, through track_packet."""
     tracker = Tracker(params)
     rows: List[TrackRow] = []
     for _, idx in labeled.packet_groups():
-        t = float(labeled.t[idx].max())
-        ids, centroids, masses = cluster_centroids(labeled.cluster_id[idx], labeled.x[idx], labeled.y[idx])
-        tracker.observe(t, [
-            Measurement(t=t, position=pos, cluster_id=int(cid), mass=int(mass))
-            for cid, pos, mass in zip(ids, centroids, masses)
-        ])
-        for tr in tracker.live_tracks():
-            fresh = tr.last_measurement is not None and tr.measured_t == t
-            raw = tr.last_measurement if fresh else (math.nan, math.nan)
-            # state is x, y, vx, vy; raw is the centroid measured at t
-            rows.append(TrackRow(t, tr.track_id, *map(float, tr.state), tr.status.value, *map(float, raw)))
+        rows += track_packet(tracker, labeled[idx])
     return rows, tracker
+
+
+def track_packet(tracker: Tracker, packet: LabeledEvents) -> List[TrackRow]:
+    """Observe the cluster centroids of one packet's rows at the packet's
+    newest timestamp; one row per live track after it.
+
+    Raw centroid columns are NaN for a track that coasted on prediction
+    alone in this packet.
+    """
+    t = float(packet.t.max())
+    ids, centroids, masses = cluster_centroids(packet.cluster_id, packet.x, packet.y)
+    tracker.observe(t, [
+        Measurement(t=t, position=pos, cluster_id=int(cid), mass=int(mass))
+        for cid, pos, mass in zip(ids, centroids, masses)
+    ])
+    rows = []
+    for tr in tracker.live_tracks():
+        fresh = tr.last_measurement is not None and tr.measured_t == t
+        raw = tr.last_measurement if fresh else (math.nan, math.nan)
+        # state is x, y, vx, vy; raw is the centroid measured at t
+        rows.append(TrackRow(t, tr.track_id, *map(float, tr.state), tr.status.value, *map(float, raw)))
+    return rows
 
 
 def run_pipeline(

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evshift import filtering
 from evshift.errors import ContractViolationError, OutOfBoundsError, StreamOrderError
 from evshift.events import Event, EventStream, SensorGeometry
-from evshift.filtering import FilterParams, filter_stream
+from evshift.filtering import FilterParams, filter_chunks, filter_stream, support_mask
 from evshift.scenes import build_scene
 from evshift.synth import generate
 
@@ -125,6 +126,52 @@ def test_matches_two_map_loop_on_tied_border_streams(case):
     stream, geom, params = case
     want = stream[two_map_filter(stream, params.radius, params.window, geom)]
     assert_same_stream(filter_stream(stream, params, geom), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=tied_streams(), cuts=st.lists(st.integers(0, 300), max_size=12))
+def test_chunked_filter_matches_two_map_loop(case, cuts):
+    # chunk edges anywhere, inside runs of equal timestamps too, some chunks empty
+    stream, geom, params = case
+    edges = [0, *sorted(c for c in cuts if c <= len(stream)), len(stream)]
+    chunks = [stream[a:b] for a, b in zip(edges, edges[1:])]
+    kept = list(filter_chunks(chunks, params, geom))
+    assert len(kept) == sum(len(c) > 0 for c in chunks)
+    got = EventStream(*(np.concatenate([getattr(k, c) for k in kept] or [[]]) for c in "txyp"))
+    assert_same_stream(got, stream[two_map_filter(stream, params.radius, params.window, geom)])
+
+
+def test_chunked_filter_context_follows_the_keep_tests_rounding():
+    # 0.004 - m rounds to <= 0.003, yet m < 0.004 - 0.003 (which rounds to 0.001):
+    # a context of t >= t_last - window would drop the support of the last event
+    m = 0.0009999999999999998
+    assert 0.004 - m <= 0.003 and m < 0.004 - 0.003
+    geom, params = SensorGeometry(10, 10), FilterParams(1, 0.003)
+    stream = EventStream([m, 0.004, 0.004], [0, 9, 1], [0, 9, 1], [1, 1, 1])
+    want = filter_stream(stream, params, geom)
+    assert want.t.tolist() == [0.004]
+    kept = list(filter_chunks([stream[:2], stream[2:]], params, geom))
+    assert_same_stream(kept[1], want)
+
+
+def test_chunked_filter_context_holds_two_events_per_pixel(monkeypatch):
+    # a window longer than the stream, so the window alone would keep every event
+    geom, params = SensorGeometry(3, 2), FilterParams(1, 100.0)
+    rng = np.random.default_rng(3)
+    n = 3000
+    stream = EventStream(np.repeat(np.arange(n // 3) * 1e-3, 3), rng.integers(0, 3, n), rng.integers(0, 2, n),
+                         np.zeros(n, dtype=int))
+    want = filter_stream(stream, params, geom)
+    decided = []
+
+    def recorded(both, *args):
+        decided.append(len(both))
+        return support_mask(both, *args)
+
+    monkeypatch.setattr(filtering, "support_mask", recorded)
+    kept = list(filter_chunks([stream[i : i + 100] for i in range(0, n, 100)], params, geom))
+    np.testing.assert_array_equal(np.concatenate([k.t for k in kept]), want.t)
+    assert len(decided) == 30 and max(decided) <= 100 + 2 * 3 * 2
 
 
 def test_two_map_loop_matches_brute_force():

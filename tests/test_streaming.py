@@ -1,0 +1,313 @@
+"""The filter, cluster and track commands stream a writer-form file in
+chunks of io._CHUNK_ROWS lines.  Their bytes and printed counts must equal
+those of the whole-file path at any chunk size, and any other input must
+take the whole-file path, errors included."""
+
+import contextlib
+import dataclasses
+import io as _stringio
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import evshift
+from evshift import cli, io
+from evshift.events import EventStream, SensorGeometry
+from evshift.io import LabeledEvents, Unstreamable, write_events, write_labeled_events, write_tracks
+from evshift.pipeline import track_labelings
+from evshift.scenes import build_scene
+from evshift.synth import generate
+from evshift.tracking import TrackerParams
+
+SRC = os.path.dirname(os.path.dirname(evshift.__file__))
+CHUNK_ROWS = [1, 2, 3, 499, 500, 501, 7 * 500]
+WHOLE = {"filter": "_filter_whole", "cluster": "_cluster_whole", "track": "_track_whole"}
+STREAMED = {"filter": "_filter_streamed", "cluster": "_cluster_streamed", "track": "_track_streamed"}
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one command run through main()."""
+    out, err = _stringio.StringIO(), _stringio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _refuse(*_args):
+    raise Unstreamable("the whole-file path, for comparison")
+
+
+def _forbid(*_args):
+    raise AssertionError("a writer-form input fell back to the whole-file path")
+
+
+def outcome(argv):
+    """(exit code, stdout, stderr, output bytes or None) of main(argv)."""
+    out = argv[argv.index("--out") + 1]
+    if os.path.exists(out):
+        os.unlink(out)
+    rc, stdout, stderr = run(argv)
+    return rc, stdout, stderr, open(out, "rb").read() if os.path.exists(out) else None
+
+
+def streamed(argv):
+    """outcome(argv), where the whole-file path must not run unless the
+    input holds no rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        with open(argv[argv.index("--in") + 1]) as fh:
+            if len(fh.readlines()) > 1:
+                mp.setattr(cli, WHOLE[argv[0]], _forbid)
+        return outcome(argv)
+
+
+def whole(argv):
+    """outcome(argv) on the whole-file path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, STREAMED[argv[0]], _refuse)
+        return outcome(argv)
+
+
+@st.composite
+def streams(draw):
+    """A small sensor and a stream on it whose timestamps come in runs of
+    equal values, some long, one time step of 1 ms apart or more."""
+    width, height = draw(st.integers(2, 8)), draw(st.integers(2, 6))
+    runs = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 40)), min_size=1, max_size=12))
+    steps = np.repeat(np.cumsum([gap for gap, _ in runs]), [size for _, size in runs])
+    n = len(steps)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stream = EventStream(steps * 1e-3, rng.integers(0, width, n), rng.integers(0, height, n), rng.integers(0, 2, n))
+    return stream, SensorGeometry(width, height)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    drawn=streams(),
+    chunk_rows=st.sampled_from(CHUNK_ROWS),
+    radius=st.integers(1, 3),
+    window_steps=st.sampled_from([1, 2, 3, 10, 1000]),
+    no_filter=st.booleans(),
+    packet_size=st.integers(1, 60),
+)
+def test_streamed_commands_equal_whole_file_path(tmp_path_factory, drawn, chunk_rows, radius, window_steps,
+                                                 no_filter, packet_size):
+    stream, geom = drawn
+    d = tmp_path_factory.mktemp("chunks")
+    events, kept, labeled, tracks = (str(d / name) for name in ("ev.txt", "kept.txt", "lab.csv", "tracks.csv"))
+    write_events(events, stream, geom)
+    settings_ = ["--filter-radius", str(radius), "--filter-window", repr(window_steps * 1e-3)]
+    commands = [
+        ["filter", "--in", events, "--out", kept, *settings_, *(["--no-filter"] if no_filter else [])],
+        ["cluster", "--in", kept, "--out", labeled, "--packet-size", str(packet_size)],
+        ["track", "--in", labeled, "--out", tracks],
+    ]
+    for argv in commands:
+        want = whole(argv)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io, "_CHUNK_ROWS", chunk_rows)
+            assert streamed(argv) == want, argv[0]
+
+
+SCRIPT = textwrap.dedent("""
+    import contextlib, hashlib, io as _stringio, json, sys
+    from evshift import cli, io
+    from evshift.io import Unstreamable
+
+    def refuse(*_args):
+        raise Unstreamable("the whole-file path, for comparison")
+
+    def forbid(*_args):
+        raise AssertionError("fell back to the whole-file path")
+
+    events, d = sys.argv[1], sys.argv[2]
+    commands = [
+        ["filter", "--in", events, "--out", d + "/kept.txt"],
+        ["cluster", "--in", d + "/kept.txt", "--out", d + "/lab.csv", "--packet-size", "100"],
+        ["track", "--in", d + "/lab.csv", "--out", d + "/tracks.csv"],
+    ]
+    whole = {name: getattr(cli, name) for name in ("_filter_whole", "_cluster_whole", "_track_whole")}
+    digests = {}
+    for rows in (499, 500, 501, 3500, "whole"):
+        if rows == "whole":
+            vars(cli).update(whole, _filter_streamed=refuse, _cluster_streamed=refuse, _track_streamed=refuse)
+        else:
+            vars(cli).update(dict.fromkeys(whole, forbid))
+            io._CHUNK_ROWS = rows
+        h = hashlib.sha256()
+        for argv in commands:
+            buf = _stringio.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert cli.main(argv) == 0
+            h.update(buf.getvalue().encode())
+            h.update(open(argv[4], "rb").read())
+        digests[str(rows)] = h.hexdigest()
+    print(json.dumps(digests))
+""")
+
+
+def test_any_chunk_size_and_blas_thread_count_give_the_same_bytes(tmp_path):
+    gen = generate(dataclasses.replace(build_scene("reference"), duration=0.1))
+    events = str(tmp_path / "ev.txt")
+    write_events(events, gen.events, gen.geometry)
+    digests = []
+    # BLAS reads its thread count when numpy loads, so each count is a process
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=SRC)
+        res = subprocess.run([sys.executable, "-c", SCRIPT, events, str(tmp_path)], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.extend(json.loads(res.stdout).values())
+    assert len(digests) == 10 and len(set(digests)) == 1
+
+
+# --- inputs that must take the whole-file path, at 3 lines per chunk ---------
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(io, "_CHUNK_ROWS", 3)
+
+
+def test_malformed_line_after_an_off_sensor_event_wins(tmp_path, small_chunks):
+    # line 2 (chunk 1) is off the sensor, line 8 (chunk 3) is malformed
+    bad = tmp_path / "ev.txt"
+    bad.write_text("# 10 10\n0.1 12 1 1\n" + "".join(f"0.{i} 1 1 0\n" for i in range(2, 7)) + "0.7 1 1\n0.8 1 1 1\n")
+    for command in ("filter", "cluster"):
+        rc, _, err = run([command, "--in", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 4 and f"{bad}:8: expected 4 fields" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_decreasing_timestamp_at_a_chunk_edge(tmp_path, small_chunks):
+    # lines 2-4 are chunk 1; line 5 opens chunk 2 earlier than line 4
+    bad = tmp_path / "ev.txt"
+    bad.write_text("# 10 10\n0.1 1 1 1\n0.2 1 1 1\n0.3 1 1 1\n0.25 1 1 1\n0.4 1 1 1\n")
+    for command in ("filter", "cluster"):
+        rc, _, err = run([command, "--in", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 5 and f"{bad}:5: timestamp 0.25" in err
+
+
+def test_mid_file_comment_gives_the_bytes_of_the_plain_file(tmp_path, small_chunks):
+    lines = [f"{0.001 * (i // 2)!r} {i % 4} {i % 3} {i % 2}\n" for i in range(40)]
+    plain, commented = tmp_path / "plain.txt", tmp_path / "commented.txt"
+    plain.write_text("# 5 4\n" + "".join(lines))
+    commented.write_text("# 5 4\n" + "".join(lines[:20]) + "# a comment\n" + "".join(lines[20:]))
+    for command in ("filter", "cluster"):
+        args = ["--out", str(tmp_path / "o"), "--filter-window", "0.002", "--packet-size", "7"]
+        want = streamed([command, "--in", str(plain), *args])
+        assert want[0] == 0
+        assert outcome([command, "--in", str(commented), *args]) == want
+
+
+def test_decreasing_packet_ids_are_tracked_in_packet_order(tmp_path, small_chunks):
+    lab, tracks, want = tmp_path / "lab.csv", tmp_path / "tracks.csv", tmp_path / "want.csv"
+    packet_id = np.repeat([0, 2, 1, 3], 8)
+    i = np.arange(len(packet_id))
+    # time goes on in packet id order, which is what the tracker follows
+    rows = LabeledEvents(0.001 * (8 * packet_id + i % 8), 10 + i % 5, 10 + i % 3, i % 2, packet_id, (i // 4) % 2)
+    write_labeled_events(str(lab), rows)
+    rc, out, _ = run(["track", "--in", str(lab), "--out", str(tracks)])
+    assert rc == 0 and out.startswith("packets = 4\n")
+    write_tracks(str(want), track_labelings(rows, TrackerParams())[0])
+    assert tracks.read_bytes() == want.read_bytes()
+
+
+def test_failing_run_leaves_the_old_output(tmp_path, small_chunks):
+    bad = tmp_path / "ev.txt"
+    bad.write_text("# 10 10\n" + "".join(f"0.{i} 1 1 0\n" for i in range(1, 8)) + "0.8 1 x 1\n")
+    out = tmp_path / "o.txt"
+    out.write_text("old\n")
+    assert run(["filter", "--in", str(bad), "--out", str(out)])[0] == 4
+    assert out.read_text() == "old\n"
+    assert [name for name in os.listdir(tmp_path) if name.startswith(".tmp-")] == []
+
+
+def test_output_over_its_own_input(tmp_path, small_chunks):
+    lines = [f"{0.001 * i!r} {i % 4} {i % 3} {i % 2}\n" for i in range(30)]
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("# 5 4\n" + "".join(lines))
+    want = run(["filter", "--in", str(a), "--out", str(b), "--filter-window", "0.003"])
+    assert want[0] == 0
+    assert run(["filter", "--in", str(a), "--out", str(a), "--filter-window", "0.003"]) == want
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_header_only_and_empty_inputs(tmp_path, small_chunks):
+    events = tmp_path / "ev.txt"
+    events.write_text("# 10 10\n")
+    assert run(["filter", "--in", str(events), "--out", str(tmp_path / "o.txt")])[:2] == (
+        0, "events_in = 0\nevents_out = 0\n")
+    assert (tmp_path / "o.txt").read_text() == "# 10 10\n"
+    assert run(["cluster", "--in", str(events), "--out", str(tmp_path / "o.csv")])[:2] == (
+        0, "packets = 0\nclusters = 0\nkernel_evals = 0\n")
+    assert (tmp_path / "o.csv").read_text() == "t,x,y,p,packet_id,cluster_id\n"
+    lab = tmp_path / "lab.csv"
+    lab.write_text("t,x,y,p,packet_id,cluster_id\n")
+    rc, _, err = run(["track", "--in", str(lab), "--out", str(tmp_path / "tracks.csv")])
+    assert rc == 8 and "labeled event file is empty" in err
+    assert not (tmp_path / "tracks.csv").exists()
+
+
+def test_packet_size_below_one_exits_6(tmp_path, small_chunks):
+    events = tmp_path / "ev.txt"
+    events.write_text("# 10 10\n0.1 1 1 1\n0.2 1 1 1\n")
+    rc, _, err = run(["cluster", "--in", str(events), "--out", str(tmp_path / "o.csv"), "--packet-size", "0"])
+    assert rc == 6 and "packet size must be >= 1" in err
+
+
+def test_key_overflow_counts_the_distinct_timestamps_of_the_whole_stream(tmp_path, monkeypatch):
+    # three distinct timestamps overflow the filter's keys on this sensor, two do
+    # not, and no chunk is decided on more than two
+    monkeypatch.setattr(io, "_CHUNK_ROWS", 1)
+    events = tmp_path / "ev.txt"
+    events.write_text("# 2000000000 2000000000\n0.1 1 1 1\n0.2 1 1 1\n0.3 1 1 1\n")
+    rc, _, err = run(["filter", "--in", str(events), "--out", str(tmp_path / "o.txt"), "--filter-window", "0.01"])
+    assert rc == 6 and "3 distinct timestamps overflows" in err
+
+
+# --- memory ------------------------------------------------------------------
+
+MEASURE = textwrap.dedent("""
+    import contextlib, io, resource, sys
+    from evshift.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+""")
+
+
+@pytest.fixture(scope="module")
+def repeated_reference(tmp_path_factory):
+    """The reference events and their generator labels, repeated 1x and 4x
+    with shifted times: {repeats: (events path, labeled path)}."""
+    gen = generate(build_scene("reference"))
+    s = gen.events
+    span = float(s.t[-1]) + 0.01
+    d = tmp_path_factory.mktemp("repeated")
+    paths = {}
+    for k in (1, 4):
+        t = np.concatenate([s.t + i * span for i in range(k)])
+        x, y, p = (np.tile(c, k) for c in (s.x, s.y, s.p))
+        events, labeled = str(d / f"ev{k}.txt"), str(d / f"lab{k}.csv")
+        write_events(events, EventStream(t, x, y, p), gen.geometry)
+        write_labeled_events(labeled, LabeledEvents(t, x, y, p, np.arange(len(t)) // 500, np.tile(gen.labels, k)))
+        paths[k] = events, labeled
+    return paths
+
+
+@pytest.mark.parametrize("command", ["filter", "cluster", "track"])
+def test_peak_memory_does_not_grow_with_the_stream(tmp_path, repeated_reference, command):
+    peaks = {}
+    for k, (events, labeled) in repeated_reference.items():
+        extra = ["--max-iters", "2"] if command == "cluster" else []
+        argv = [command, "--in", labeled if command == "track" else events, "--out", str(tmp_path / "out"), *extra]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
+        res = subprocess.run([sys.executable, "-c", MEASURE, *argv], env=env, capture_output=True, text=True,
+                             check=True)
+        peaks[k] = int(res.stdout.split()[-1])
+    assert peaks[4] <= 1.10 * peaks[1], peaks
