@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import sys
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -27,13 +28,12 @@ from .errors import (
     ParseError,
     StreamOrderError,
 )
-from .events import DecayParams, EventStream, SensorGeometry, as_stream, feature_matrix, packetize
-from .filtering import filter_chunks, filter_stream
+from .events import DecayParams, EventStream, SensorGeometry, feature_matrix, packetize
+from .filtering import filter_chunks
 from .io import (
     LABELED_COLUMNS,
     TRACKS_COLUMNS,
     LabeledEvents,
-    Unstreamable,
     _fmt,
     atomic_write_text,
     csv_header,
@@ -43,19 +43,16 @@ from .io import (
     labeled_chunks,
     labeled_lines,
     read_centers,
-    read_events,
     read_labeled_events,
     read_tracks,
     read_truth,
     track_lines,
     write_centers,
     write_events,
-    write_labeled_events,
-    write_tracks,
     write_truth,
 )
 from .metrics import cluster_scores, kmeans_baseline, pair_counts, precision_recall_f, tracking_error
-from .pipeline import cluster_packets, labeled_from_packets, track_labelings, track_packet
+from .pipeline import cluster_packets, labeled_from_packets, track_packet
 from .scenes import SCENE_BUILDERS, build_scene
 from .synth import generate, load_scene
 from .tracking import Tracker, TrackStatus
@@ -101,122 +98,104 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _streamed_or_whole(streamed, whole, args: argparse.Namespace) -> int:
-    """Run a command on its input chunk by chunk; where the input cannot be
-    taken that way, or the run fails, run it on the whole file, which
-    decides every error.  The output file is written atomically either way,
-    and the `key = value` lines are printed only once it is in place."""
-    cfg = _build_config(args)
+def _run(body: Callable[[Iterator], List[str]], chunks: Iterator) -> int:
+    """Run a command's body on the chunks of its input and print the `key =
+    value` lines it returns, once it has written its output.  Where the body
+    fails, the rest of the input is read before the error is raised, so
+    that a fault there wins, as it does where the whole input is read
+    first."""
     try:
-        lines = streamed(args, cfg)
-    except (Unstreamable, EvshiftError, OSError):
-        lines = whole(args, cfg)
+        lines = body(chunks)
+    except (EvshiftError, OSError):
+        for _ in chunks:
+            pass
+        raise
     print("\n".join(lines))
     return 0
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
-    return _streamed_or_whole(_filter_streamed, _filter_whole, args)
-
-
-def _filter_streamed(args: argparse.Namespace, cfg: RunConfig) -> List[str]:
-    params = cfg.pipeline_params().filter_params
+    cfg = _build_config(args)
     geom, chunks = event_chunks(args.input)
-    n_in = n_out = 0
 
-    def counted(chunks):
-        nonlocal n_in
-        for chunk in chunks:
-            n_in += len(chunk)
-            yield chunk
+    def body(chunks: Iterator[EventStream]) -> List[str]:
+        params = cfg.pipeline_params().filter_params
+        n_in = n_out = 0
 
-    def pieces():
-        nonlocal n_out
-        yield event_header(geom)
-        kept_chunks = counted(chunks)
-        if params is not None:
-            kept_chunks = filter_chunks(kept_chunks, params, geom)
-        for kept in kept_chunks:
-            n_out += len(kept)
-            yield from event_lines(kept)
+        def counted(chunks):
+            nonlocal n_in
+            for chunk in chunks:
+                n_in += len(chunk)
+                yield chunk
 
-    atomic_write_text(args.out, pieces())
-    return [f"events_in = {n_in}", f"events_out = {n_out}"]
+        def pieces():
+            nonlocal n_out
+            yield event_header(geom)
+            kept_chunks = counted(chunks)
+            if params is not None:
+                kept_chunks = filter_chunks(kept_chunks, params, geom)
+            for kept in kept_chunks:
+                n_out += len(kept)
+                yield from event_lines(kept)
 
+        atomic_write_text(args.out, pieces())
+        return [f"events_in = {n_in}", f"events_out = {n_out}"]
 
-def _filter_whole(args: argparse.Namespace, cfg: RunConfig) -> List[str]:
-    events, geom = read_events(args.input)
-    params = cfg.pipeline_params().filter_params
-    # as_stream: perfbench's traced run wraps filter_stream to hand back an iterator
-    kept = events if params is None else as_stream(filter_stream(events, params, geom))
-    write_events(args.out, kept, geom)
-    return [f"events_in = {len(events)}", f"events_out = {len(kept)}"]
+    return _run(body, chunks)
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     # Filtering is its own stage; this consumes the stream as given.
-    return _streamed_or_whole(_cluster_streamed, _cluster_whole, args)
-
-
-def _cluster_streamed(args: argparse.Namespace, cfg: RunConfig) -> List[str]:
-    params = cfg.pipeline_params()
-    size = params.packet_size
-    if size < 1:
-        raise Unstreamable("packet size below 1")
+    cfg = _build_config(args)
     geom, chunks = event_chunks(args.input)
-    n_packets = n_clusters = kernel_evals = 0
 
-    def labeled(events: EventStream) -> Iterator[str]:
-        nonlocal n_packets, n_clusters, kernel_evals
-        packets = list(packetize(events, size, geom, params.decay))
-        labelings = cluster_packets(packets, params.ms_params)
-        yield from labeled_lines(labeled_from_packets(packets, labelings, first_id=n_packets))
-        n_packets += len(packets)
-        n_clusters += sum(lab.n_clusters for lab in labelings)
-        kernel_evals += sum(lab.ops_count for lab in labelings)
+    def body(chunks: Iterator[EventStream]) -> List[str]:
+        params = cfg.pipeline_params()
+        size = params.packet_size
+        if size < 1:  # packetize's check, made before the output is opened
+            raise ContractViolationError(f"packet size must be >= 1, got {size}")
+        n_packets = n_clusters = kernel_evals = 0
 
-    def pieces():
-        yield csv_header(LABELED_COLUMNS)
-        carry = EventStream([], [], [], [])  # fewer than `size` events
-        for chunk in chunks:
-            events = EventStream.concat([carry, chunk])
-            full = len(events) - len(events) % size
-            yield from labeled(events[:full])
-            carry = events[full:]
-        yield from labeled(carry)  # the short packet, at the end of the stream
+        def labeled(events: EventStream) -> Iterator[str]:
+            nonlocal n_packets, n_clusters, kernel_evals
+            packets = list(packetize(events, size, geom, params.decay))
+            labelings = cluster_packets(packets, params.ms_params)
+            yield from labeled_lines(labeled_from_packets(packets, labelings, first_id=n_packets))
+            n_packets += len(packets)
+            n_clusters += sum(lab.n_clusters for lab in labelings)
+            kernel_evals += sum(lab.ops_count for lab in labelings)
 
-    atomic_write_text(args.out, pieces())
-    return [f"packets = {n_packets}", f"clusters = {n_clusters}", f"kernel_evals = {kernel_evals}"]
+        def pieces():
+            yield csv_header(LABELED_COLUMNS)
+            carry = EventStream([], [], [], [])  # fewer than `size` events
+            for chunk in chunks:
+                events = EventStream.concat([carry, chunk])
+                full = len(events) - len(events) % size
+                yield from labeled(events[:full])
+                carry = events[full:]
+            yield from labeled(carry)  # the short packet, at the end of the stream
 
+        atomic_write_text(args.out, pieces())
+        return [f"packets = {n_packets}", f"clusters = {n_clusters}", f"kernel_evals = {kernel_evals}"]
 
-def _cluster_whole(args: argparse.Namespace, cfg: RunConfig) -> List[str]:
-    events, geom = read_events(args.input)
-    params = cfg.pipeline_params()
-    packets = list(packetize(events, params.packet_size, geom, params.decay))
-    labelings = cluster_packets(packets, params.ms_params)
-    write_labeled_events(args.out, labeled_from_packets(packets, labelings))
-    return [
-        f"packets = {len(packets)}",
-        f"clusters = {sum(lab.n_clusters for lab in labelings)}",
-        f"kernel_evals = {sum(lab.ops_count for lab in labelings)}",
-    ]
+    return _run(body, chunks)
 
 
-def cmd_track(args: argparse.Namespace) -> int:
-    return _streamed_or_whole(_track_streamed, _track_whole, args)
+class _PacketIdsGoBack(Exception):
+    """A labeled file whose packet ids go back, which is tracked in packet
+    id order."""
 
 
 def _packet_runs(chunks: Iterable[LabeledEvents]) -> Iterator[LabeledEvents]:
     """The rows of each packet of a labeled file in chunks, packet by packet
-    in file order; Unstreamable where a packet id falls below the one
-    before it (packet_groups sorts such a file by packet id) or the file
-    holds no rows."""
+    in file order; _PacketIdsGoBack where a packet id falls below the one
+    before it."""
     pending: List[LabeledEvents] = []  # the parts of the packet that the next chunk may go on with
     last = None
     for chunk in chunks:
         pid = chunk.packet_id
         if (last is not None and pid[0] < last) or (pid[1:] < pid[:-1]).any():
-            raise Unstreamable("packet ids that decrease")
+            raise _PacketIdsGoBack
         begin = 0
         # the rows that start a packet, the first one too when it starts one
         for cut in np.flatnonzero(np.diff(pid, prepend=pid[0] if last is None else last)):
@@ -224,43 +203,38 @@ def _packet_runs(chunks: Iterable[LabeledEvents]) -> Iterator[LabeledEvents]:
             pending, begin = [], cut
         pending.append(chunk[begin:])
         last = pid[-1]
-    if not pending:
-        raise Unstreamable("no rows")
-    yield LabeledEvents.concat(pending)
+    if pending:
+        yield LabeledEvents.concat(pending)
 
 
-def _track_streamed(args: argparse.Namespace, cfg: RunConfig) -> List[str]:
-    params = cfg.pipeline_params().tracker_params
-    tracker = Tracker(params)
-    n_packets = 0
-    track_ids, confirmed = set(), set()
+def cmd_track(args: argparse.Namespace) -> int:
+    cfg = _build_config(args)
 
-    def pieces():
-        nonlocal n_packets
-        yield csv_header(TRACKS_COLUMNS)
-        for packet in _packet_runs(labeled_chunks(args.input)):
-            n_packets += 1
-            rows = track_packet(tracker, packet)
-            track_ids.update(r.track_id for r in rows)
-            confirmed.update(r.track_id for r in rows if r.status == TrackStatus.CONFIRMED.value)
-            yield from track_lines(rows)
+    def body(packets: Iterator[LabeledEvents]) -> List[str]:
+        if (first := next(packets, None)) is None:
+            raise EmptyAlignmentError("labeled event file is empty")
+        tracker = Tracker(cfg.pipeline_params().tracker_params)
+        n_packets = 0
+        track_ids, confirmed = set(), set()
 
-    atomic_write_text(args.out, pieces())
-    return [f"packets = {n_packets}", f"tracks = {len(track_ids)}", f"confirmed_tracks = {len(confirmed)}"]
+        def pieces():
+            nonlocal n_packets
+            yield csv_header(TRACKS_COLUMNS)
+            for packet in itertools.chain([first], packets):
+                n_packets += 1
+                rows = track_packet(tracker, packet)
+                track_ids.update(r.track_id for r in rows)
+                confirmed.update(r.track_id for r in rows if r.status == TrackStatus.CONFIRMED.value)
+                yield from track_lines(rows)
 
+        atomic_write_text(args.out, pieces())
+        return [f"packets = {n_packets}", f"tracks = {len(track_ids)}", f"confirmed_tracks = {len(confirmed)}"]
 
-def _track_whole(args: argparse.Namespace, cfg: RunConfig) -> List[str]:
-    rows = read_labeled_events(args.input)
-    if len(rows) == 0:
-        raise EmptyAlignmentError("labeled event file is empty")
-    out_rows, _ = track_labelings(rows, cfg.pipeline_params().tracker_params)
-    write_tracks(args.out, out_rows)
-    confirmed = len({r.track_id for r in out_rows if r.status == TrackStatus.CONFIRMED.value})
-    return [
-        f"packets = {len(np.unique(rows.packet_id))}",
-        f"tracks = {len({r.track_id for r in out_rows})}",
-        f"confirmed_tracks = {confirmed}",
-    ]
+    try:
+        return _run(body, _packet_runs(labeled_chunks(args.input)))
+    except _PacketIdsGoBack:
+        rows = read_labeled_events(args.input)
+        return _run(body, _packet_runs([rows[np.argsort(rows.packet_id, kind="stable")]]))
 
 
 def _truth_labels_for(rows: LabeledEvents, truth: Sequence[np.ndarray]) -> np.ndarray:

@@ -132,7 +132,8 @@ def filter_chunks(chunks: Iterable[EventStream], params: FilterParams, geom: Sen
     event's newest strictly earlier neighbour there, so the context holds
     at most two events per pixel, however long the window.  The int64 key
     check counts the distinct timestamps of the whole stream, as
-    filter_stream does.
+    filter_stream does: once they overflow, the rest of the stream is only
+    counted, and the error names the count at its end.
     """
     context = None
     ranks, last = 0, -np.inf
@@ -141,7 +142,10 @@ def filter_chunks(chunks: Iterable[EventStream], params: FilterParams, geom: Sen
             continue
         ranks += int(np.count_nonzero(np.diff(chunk.t, prepend=last) > 0))
         last = chunk.t[-1]
-        _check_keys(geom, params, ranks)
+        try:
+            _check_keys(geom, params, ranks)
+        except ContractViolationError:
+            continue
         both = chunk if context is None else EventStream.concat([context, chunk])
         yield chunk[support_mask(both, params, geom)[len(both) - len(chunk):]]
         near = both[last - both.t <= params.window]
@@ -149,3 +153,4 @@ def filter_chunks(chunks: Iterable[EventStream], params: FilterParams, geom: Sen
         key = np.column_stack([near.y * geom.width + near.x, near.t == last])
         _, newest = np.unique(key[::-1], axis=0, return_index=True)
         context = near[np.sort(len(near) - 1 - newest)]
+    _check_keys(geom, params, ranks)

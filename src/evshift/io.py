@@ -6,18 +6,17 @@ labels and center trajectories are CSV files whose columns are declared
 once, as (name, kind) pairs, and that one reader and one writer serve.
 Every file is UTF-8 text.
 
-A file in the plain form the writers produce (line 1 the exact header,
-every later line a row and, in an event file, every event passing the
-stream rules) is read in chunks of _CHUNK_ROWS lines, each parsed by one
-np.loadtxt call, which builds no Python object per line.  event_chunks and
-labeled_chunks hand out those chunks one at a time, so that a command can
-stream a file of any length; the whole-file readers concatenate them.  A
-chunk reader meets anything else (comments, quoted fields, a value loadtxt
-rejects, a broken rule, a byte that is not UTF-8) by raising Unstreamable,
-and the whole-file readers then go to the per-line reader, which defines
-the format and names the offending line.  loadtxt accepts a strict subset
-of what the per-line reader accepts, with the same values (its float parse
-is Python's), so both paths return the same columns.
+Every reader takes a file in chunks of _CHUNK_ROWS lines: event_chunks and
+labeled_chunks hand them out one at a time, so that a command can stream a
+file of any length, and the whole-file readers concatenate them.  A chunk
+is parsed by one np.loadtxt call, which builds no Python object per line,
+or, where loadtxt does not take it or csv and loadtxt would part ways, by
+the per-line code that defines the format, from the chunk's first line on.
+loadtxt accepts a strict subset of what the per-line code accepts, with the
+same values (its float parse is Python's).  A file whose line 1 is not its
+header is read whole by the per-line reader.  A fault in a chunk raises the
+error that the per-line reader raises for the whole file, which it reads
+again: the error and its line do not depend on where the chunks begin.
 
 Writers stream chunks of rows into a temp file that is then renamed over
 the target, so readers never observe a partial file and no writer holds
@@ -30,11 +29,10 @@ from __future__ import annotations
 import csv
 import itertools
 import os
-import re
 import tempfile
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, NoReturn, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -95,11 +93,6 @@ def read_lines(path: str) -> List[str]:
     return lines
 
 
-class Unstreamable(Exception):
-    """A file that the chunk readers cannot take as it stands; the
-    whole-file readers decide what it holds or which error it raises."""
-
-
 _BULK_DTYPE = {float: "f8", int: "i8", str: object}
 
 
@@ -121,13 +114,19 @@ def _bulk_columns(lines: List[str], columns: Columns, delimiter: Optional[str]) 
     return [table[name].astype(str) if kind is str else table[name].copy() for name, kind in columns]
 
 
-def _chunks(fh, columns: Columns, delimiter: Optional[str]) -> Iterator[List[np.ndarray]]:
-    """The columns of each run of _CHUNK_ROWS lines left in the open text
-    file `fh`, through _bulk_columns; Unstreamable where that fails."""
+def _numbered_chunks(fh, first: int) -> Iterator[Tuple[int, List[str]]]:
+    """(number of its first line, lines) of each run of _CHUNK_ROWS lines
+    left in the open text file `fh`, whose next line is line `first`."""
     while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
-        if (cols := _bulk_columns(lines, columns, delimiter)) is None:
-            raise Unstreamable("a chunk of lines that loadtxt does not take")
-        yield cols
+        yield first, lines
+        first += len(lines)
+
+
+def _raise_per_line_error(read: Callable, path: str, *args) -> NoReturn:
+    """Raise the error that the whole-file per-line reader `read` raises for
+    `path`, a file in which a chunk showed a fault."""
+    read(path, *args)
+    raise AssertionError(f"{path}: a chunk fault that the per-line reader does not see")
 
 
 def write_events(path: str, events: Iterable[Event], geom: SensorGeometry) -> None:
@@ -141,10 +140,6 @@ def event_header(geom: SensorGeometry) -> str:
 def event_lines(s: EventStream) -> Iterator[str]:
     """The lines of events `s`, in pieces of up to _CHUNK_ROWS."""
     return _lines(EVENT_COLUMNS, [s.t, s.x, s.y, s.p], sep=" ")
-
-
-# A line 1 that the per-line reader takes as the geometry header.
-_GEOMETRY_HEADER = re.compile(r"#\s*([0-9]+)\s+([0-9]+)\s*", re.ASCII)
 
 
 def _event_faults(t: np.ndarray, p: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,98 +164,104 @@ def read_events(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[Event
     then are events outside the sensor rejected (ParseError).  A path that
     is not a file raises FileNotFoundError.
     """
-    try:
-        file_geom, chunks = event_chunks(path)
-        parts = list(chunks)
-    except Unstreamable:
-        parts = []
-    if parts:
-        return EventStream.concat(parts), file_geom
-    return _read_events_per_line(path, geom)
+    file_geom, chunks = event_chunks(path, geom)
+    return EventStream.concat([EventStream([], [], [], []), *chunks]), file_geom
 
 
-def event_chunks(path: str) -> Tuple[SensorGeometry, Iterator[EventStream]]:
-    """The geometry of a writer-form event file and an iterator over its
-    events in chunks of up to _CHUNK_ROWS.
+def event_chunks(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[SensorGeometry, Iterator[EventStream]]:
+    """The geometry of an event file and an iterator over its events in
+    chunks of up to _CHUNK_ROWS lines, none of them empty; read_events(path,
+    geom) is their concatenation, and raises the errors that they raise.
 
-    The header is read at once, the chunks as they are iterated.  A file
-    the per-line reader might read differently or reject, and a header-only
-    file, raises Unstreamable, at once or from the iterator: no `# W H`
-    header on line 1, a chunk loadtxt does not take or a byte that is not
-    UTF-8, an event that breaks a stream rule or lies outside the sensor,
-    or a chunk that starts before the previous one ends.  A path that is
-    not a file raises FileNotFoundError.
+    A file with its `# W H` header on line 1 is read as the chunks are
+    iterated, and a chunk's fault raises from the iterator.  Any other
+    file is read at once.  A path that is not a file raises
+    FileNotFoundError.
     """
     if not os.path.isfile(path):
         raise FileNotFoundError(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            size = _GEOMETRY_HEADER.fullmatch(fh.readline())
-    except UnicodeDecodeError:
-        size = None
-    if not size or int(size[1]) == 0 or int(size[2]) == 0:
-        raise Unstreamable("no positive '# W H' header on line 1")
-    geom = SensorGeometry(int(size[1]), int(size[2]))
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        _, _, file_geom, malformed = _parse_event_lines(path, [fh.readline()], 1)
+    if file_geom is None or malformed:
+        stream, file_geom = _read_events_per_line(path, geom)
+        return file_geom, iter([stream] if len(stream) else [])
 
     def chunks() -> Iterator[EventStream]:
         last = -np.inf
         try:
             with open(path, encoding="utf-8") as fh:
                 fh.readline()
-                for t, x, y, p in _chunks(fh, EVENT_COLUMNS, None):
+                for first, lines in _numbered_chunks(fh, 2):
+                    if (cols := _bulk_columns(lines, EVENT_COLUMNS, None)) is None:
+                        cols, _, _, malformed = _parse_event_lines(path, lines, first, file_geom)
+                        if malformed:
+                            _raise_per_line_error(_read_events_per_line, path)
+                    t, x, y, p = cols
+                    if len(t) == 0:
+                        continue
                     bad_t, bad_p, back = _event_faults(t, p)
-                    if t[0] < last or (bad_t | bad_p | back).any() or not geom.contains(x, y).all():
-                        raise Unstreamable("an event that breaks a stream rule")
+                    if t[0] < last or (bad_t | bad_p | back).any() or not file_geom.contains(x, y).all():
+                        _raise_per_line_error(_read_events_per_line, path)
                     last = t[-1]
                     yield EventStream(t, x, y, p)
         except UnicodeDecodeError:
-            raise Unstreamable("a byte that is not UTF-8") from None
-        if last == -np.inf:
-            raise Unstreamable("no events")
+            _raise_per_line_error(_read_events_per_line, path)
 
-    return geom, chunks()
+    return file_geom, chunks()
+
+
+def _parse_event_lines(path: str, lines: Iterable[str], first: int, file_geom: Optional[SensorGeometry] = None):
+    """The events of text `lines`, the first of them line `first` of `path`,
+    one line at a time: the definition of the format.  Blank lines and `#`
+    lines are skipped, but for the first `#` line of two integers while
+    file_geom is None: the geometry header.  Returns the columns (t, x, y,
+    p), the line of each event, the header or file_geom, and the ParseError
+    of the line at which the parse stopped, malformed or not UTF-8, or None.
+    """
+    ts, xs, ys, ps, line_of = [], [], [], [], []  # the fields and the line of each event
+    malformed = None
+    for line_no, raw in enumerate(lines, start=first):
+        if malformed := _utf8_error(path, line_no, raw):
+            break
+        parts = raw.split()
+        if not parts:
+            continue
+        if parts[0][0] == "#":
+            parts = raw.strip()[1:].split()
+            if file_geom is None and len(parts) == 2:
+                try:
+                    size = int(parts[0]), int(parts[1])
+                except ValueError:
+                    continue  # a two-word comment
+                try:
+                    file_geom = SensorGeometry(*size)
+                except ContractViolationError as exc:
+                    malformed = ParseError(path, line_no, f"bad geometry header: {exc}")
+                    break
+            continue
+        try:
+            if len(parts) != 4:
+                raise ValueError(f"expected 4 fields, got {len(parts)}")
+            t, x, y, p = float(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
+        except ValueError as exc:
+            malformed = ParseError(path, line_no, str(exc))
+            break
+        ts.append(t)
+        xs.append(x)
+        ys.append(y)
+        ps.append(p)
+        line_of.append(line_no)
+    # An int beyond int64 stays exact or becomes a float, and fails the polarity or the sensor check.
+    cols = np.array(ts, dtype=np.float64), np.array(xs), np.array(ys), np.array(ps)
+    return cols, line_of, file_geom, malformed
 
 
 def _read_events_per_line(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[EventStream, SensorGeometry]:
     """read_events one line at a time: the definition of the format, and the
     reader that names the line of each error."""
-    ts, xs, ys, ps, line_of = [], [], [], [], []  # the fields and the line of each event
-    file_geom = malformed = None
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if malformed := _utf8_error(path, line_no, raw):
-                break
-            parts = raw.split()
-            if not parts:
-                continue
-            if parts[0][0] == "#":
-                parts = raw.strip()[1:].split()
-                if file_geom is None and len(parts) == 2:
-                    try:
-                        size = int(parts[0]), int(parts[1])
-                    except ValueError:
-                        continue  # a two-word comment
-                    try:
-                        file_geom = SensorGeometry(*size)
-                    except ContractViolationError as exc:
-                        malformed = ParseError(path, line_no, f"bad geometry header: {exc}")
-                        break
-                continue
-            try:
-                if len(parts) != 4:
-                    raise ValueError(f"expected 4 fields, got {len(parts)}")
-                t, x, y, p = float(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError as exc:
-                malformed = ParseError(path, line_no, str(exc))
-                break
-            ts.append(t)
-            xs.append(x)
-            ys.append(y)
-            ps.append(p)
-            line_of.append(line_no)
-    # The per-line rules on the rows before the malformed line, if any.  An int beyond
-    # int64 stays exact or becomes a float, and fails the polarity or the sensor check.
-    t, x, y, p = np.array(ts, dtype=np.float64), np.array(xs), np.array(ys), np.array(ps)
+        (t, x, y, p), line_of, file_geom, malformed = _parse_event_lines(path, fh, 1)
+    # The per-line rules on the rows before the malformed line, if any.
     bad_t, bad_p, back = _event_faults(t, p)
     if (failing := bad_t | bad_p | back).any():
         i = int(np.argmax(failing))
@@ -340,8 +341,9 @@ def read_labeled_events(path: str) -> LabeledEvents:
 
 
 def labeled_chunks(path: str) -> Iterator[LabeledEvents]:
-    """The rows of a writer-form labeled file in chunks of up to
-    _CHUNK_ROWS; see _csv_chunks for the files that raise Unstreamable."""
+    """The rows of a labeled file in chunks of up to _CHUNK_ROWS lines, none
+    of them empty; read_labeled_events is their concatenation, and raises
+    the errors that they raise."""
     return (LabeledEvents(*cols) for cols in _csv_chunks(path, LABELED_COLUMNS))
 
 
@@ -418,18 +420,10 @@ def _parse(kind: type, values: List[str]) -> np.ndarray:
     return np.fromiter(map(kind, values), dtype=_DTYPE[kind], count=len(values))
 
 
-# Bytes on which csv and loadtxt part ways: a quote, which csv reads as
-# quoting, and the ASCII separators that loadtxt strips around a number as
-# whitespace and float() and int() do not.
-_CSV_ONLY_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
-
-def _has_csv_only_bytes(path: str) -> bool:
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            if any(b in chunk for b in _CSV_ONLY_BYTES):
-                return True
-    return False
+# Characters on which csv and loadtxt part ways: a quote, which csv reads
+# as quoting, and the ASCII separators that loadtxt strips around a number
+# as whitespace and float() and int() do not.
+_CSV_ONLY_CHARS = '"\x1c\x1d\x1e\x1f'
 
 
 def _read_csv(path: str, columns: Columns) -> List[np.ndarray]:
@@ -440,68 +434,93 @@ def _read_csv(path: str, columns: Columns) -> List[np.ndarray]:
     `1e20` in an int column, say) raises ParseError naming the line.  A path
     that is not a file raises FileNotFoundError.
     """
-    try:
-        parts = list(_csv_chunks(path, columns))
-    except Unstreamable:
-        parts = []
-    if parts:
-        return list(map(np.concatenate, zip(*parts)))
-    return _read_csv_per_line(path, columns)
+    no_rows = [_parse(kind, []) for _, kind in columns]
+    return list(map(np.concatenate, zip(no_rows, *_csv_chunks(path, columns))))
 
 
 def _csv_chunks(path: str, columns: Columns) -> Iterator[List[np.ndarray]]:
-    """The columns of a writer-form CSV file with header `columns`, in
-    chunks of up to _CHUNK_ROWS rows.  A file the per-line reader might
-    read differently or reject raises Unstreamable: a header that is not
-    exactly line 1, a byte of _CSV_ONLY_BYTES or one that is not UTF-8, or
-    a chunk loadtxt does not take.  A path that is not a file raises
-    FileNotFoundError.
+    """The columns of a CSV file with header `columns` in chunks of up to
+    _CHUNK_ROWS lines, none of them empty; _read_csv concatenates them, and
+    raises the errors that they raise.  A file whose line 1 is not exactly
+    the header is read whole at the first chunk.
     """
     if not os.path.isfile(path):
         raise FileNotFoundError(path)
-    if _has_csv_only_bytes(path):
-        raise Unstreamable("bytes that csv and loadtxt read differently")
     try:
         with open(path, encoding="utf-8") as fh:
             if fh.readline() != csv_header(columns):
-                raise Unstreamable("not the exact header on line 1")
-            yield from _chunks(fh, columns, ",")
+                cols = _read_csv_per_line(path, columns)
+                if len(cols[0]):
+                    yield cols
+                return
+            for first, lines in _numbered_chunks(fh, 2):
+                text = "".join(lines)
+                cols = None if any(c in text for c in _CSV_ONLY_CHARS) else _bulk_columns(lines, columns, ",")
+                if cols is None:
+                    try:
+                        rows, line_nos = _csv_rows(path, lines, first, len(columns))
+                        cols = _csv_columns(path, columns, rows, line_nos)
+                    except ParseError:
+                        _raise_per_line_error(_read_csv_per_line, path, columns)
+                    # A quoted field still open at the end of the chunk spans lines, unless the file ends there.
+                    if rows and rows[-1][-1].endswith("\n") and fh.readline():
+                        _raise_per_line_error(_read_csv_per_line, path, columns)
+                if len(cols[0]):
+                    yield cols
     except UnicodeDecodeError:
-        raise Unstreamable("a byte that is not UTF-8") from None
+        _raise_per_line_error(_read_csv_per_line, path, columns)
 
 
 def _read_csv_per_line(path: str, columns: Columns) -> List[np.ndarray]:
     """_read_csv through csv.reader and one conversion per value: the
     definition of the format, and the reader that names the line of each
     error."""
-    header = _names(columns)
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        rows, line_nos = _csv_rows(path, fh, 1, len(columns), _names(columns))
+    return _csv_columns(path, columns, rows, line_nos)
 
-    def lines(fh):
-        for line_no, raw in enumerate(fh, start=1):
+
+def _csv_rows(path: str, lines: Iterable[str], first: int, width: int, header: Optional[List[str]] = None):
+    """The rows of CSV text `lines`, the first of them line `first` of
+    `path`, after `header` if one is given, without the blank ones, and the
+    line of each.  A wrong header, a byte that is not UTF-8, a csv error, a
+    field that spans lines or a row of other than `width` fields raises
+    ParseError naming the line."""
+
+    def checked():
+        for line_no, raw in enumerate(lines, start=first):
             if exc := _utf8_error(path, line_no, raw):
                 raise exc
             yield raw
 
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(lines(fh))
-        try:
-            if (found := next(reader, None)) != header:
-                raise ParseError(path, 1, f"expected header {header}, got {found}")
-            rows = list(reader)
-        except csv.Error as exc:
-            raise ParseError(path, reader.line_num, str(exc)) from exc
-    # rows[i] came from line i + 2 unless a quoted field spanned lines,
-    # which no format allows: report the first such row.
-    if reader.line_num != len(rows) + 1:
+    reader = csv.reader(checked())
+    try:
+        if header and (found := next(reader, None)) != header:
+            raise ParseError(path, first, f"expected header {header}, got {found}")
+        done = reader.line_num
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ParseError(path, first - 1 + reader.line_num, str(exc)) from exc
+    # rows[i] came from line first + done + i unless a quoted field spanned
+    # lines, which no format allows: report the first such row.
+    first += done
+    if reader.line_num != done + len(rows):
         i = next(i for i, r in enumerate(rows) if any("\n" in f for f in r))
-        raise ParseError(path, i + 2, "field spans lines")
+        raise ParseError(path, first + i, "field spans lines")
     sizes = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    bad = np.flatnonzero((sizes != len(columns)) & (sizes != 0))
+    bad = np.flatnonzero((sizes != width) & (sizes != 0))
     if bad.size:
-        raise ParseError(path, int(bad[0]) + 2, f"expected {len(columns)} fields, got {sizes[bad[0]]}")
-    line_nos = np.flatnonzero(sizes) + 2
+        raise ParseError(path, first + int(bad[0]), f"expected {width} fields, got {sizes[bad[0]]}")
+    line_nos = np.flatnonzero(sizes) + first
     if len(line_nos) < len(rows):
         rows = [r for r in rows if r]
+    return rows, line_nos
+
+
+def _csv_columns(path: str, columns: Columns, rows: List[List[str]], line_nos: np.ndarray) -> List[np.ndarray]:
+    """The values of `rows`, from lines `line_nos` of `path`, as one array
+    per column of `columns`.  The first value its kind rejects, column by
+    column, raises ParseError naming the line."""
     out = []
     for c, (name, kind) in enumerate(columns):
         values = [r[c] for r in rows]
@@ -514,6 +533,7 @@ def _read_csv_per_line(path: str, columns: Columns) -> List[np.ndarray]:
                 except (ValueError, OverflowError) as exc:
                     raise ParseError(path, int(line_nos[i]), f"{name} must be {kind.__name__}, got {v!r}") from exc
     return out
+
 
 # printf-style, which formats a row of reprs faster than str.format's "{!r}"
 _FORMAT = {float: "%r", int: "%d", str: "%s"}

@@ -549,13 +549,13 @@ def test_failed_write_keeps_the_old_file(tmp_path):
 # accepts, padding, and text neither accepts.
 NUMBER_TOKENS = [
     ["+1", "-0", "01", ".5", "5.", "1e-3", "nan", "-nan", "Infinity", "-inf", str(2**63 - 1)],
-    ["1_0", "\u0663", '"1"', "\x1c1", "1\x1f", "1\x1d"],
+    ["1_0", "\u0663", '"1"', '"1', "\x1c1", "1\x1f", "1\x1d"],
     [" 1", " 1 ", "\t1", "1\x0c", "\u20031", "\xa01", "1\x85", "1\r"],
     ["3.7", "7.0", "1e20", str(2**63), "0x10", "x", "", "\u200b1", "1\u200b", "#", "\udcff"],
 ]
 STATUS_TOKENS = [
     [" dead ", "con firmed", "", "déad"],
-    ['"dead"', '"a,b"', '""', 'a"b'],
+    ['"dead"', '"a,b"', '""', 'a"b', '"dead'],
     ["a\x1cb", "\x1f", "\u200b", "#"],
     ["\udcff"],
 ]
@@ -643,19 +643,25 @@ def outcome(read, path, *args):
     return [(col.dtype, repr(col.tolist())) for col in result]
 
 
+# Small chunks put filler lines, quotes, padding and faults on chunk edges.
+CHUNK_ROWS = st.sampled_from([1, 2, 3, io._CHUNK_ROWS])
+
+
 @settings(max_examples=400, deadline=None)
-@given(case=hard_event_files())
-def test_event_reader_equals_per_line_reader(tmp_path_factory, case):
+@given(case=hard_event_files(), chunk_rows=CHUNK_ROWS)
+def test_event_reader_equals_per_line_reader(tmp_path_factory, case, chunk_rows):
     text, geom = case
     path = tmp_path_factory.mktemp("events") / "ev.txt"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
-    assert outcome(read_events, str(path), geom) == outcome(io._read_events_per_line, str(path), geom)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_CHUNK_ROWS", chunk_rows)
+        assert outcome(read_events, str(path), geom) == outcome(io._read_events_per_line, str(path), geom)
 
 
 @pytest.mark.parametrize("name", sorted(FORMATS))
 @settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_csv_reader_equals_per_line_reader(tmp_path_factory, name, data):
+@given(data=st.data(), chunk_rows=CHUNK_ROWS)
+def test_csv_reader_equals_per_line_reader(tmp_path_factory, name, data, chunk_rows):
     columns = {"labeled": io.LABELED_COLUMNS, "tracks": io.TRACKS_COLUMNS,
                "truth": io.TRUTH_COLUMNS, "centers": io.CENTERS_COLUMNS}[name]
     kinds = [kind for _, kind in columns]
@@ -675,4 +681,17 @@ def test_csv_reader_equals_per_line_reader(tmp_path_factory, name, data):
     text = data.draw(edited_file(header, rows, ",", hard_headers, fields, [", ", " ,", "\x1c,", ",\u2003", ",\x1f", ";"]))
     path = tmp_path_factory.mktemp(name) / "f.csv"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
-    assert outcome(io._read_csv, str(path), columns) == outcome(io._read_csv_per_line, str(path), columns)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_CHUNK_ROWS", chunk_rows)
+        assert outcome(io._read_csv, str(path), columns) == outcome(io._read_csv_per_line, str(path), columns)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+def test_quote_left_open_at_the_end_of_a_chunk(tmp_path, monkeypatch, chunk_rows):
+    # The open quote takes in the line break and, unless the file ends there, the next line.
+    monkeypatch.setattr(io, "_CHUNK_ROWS", chunk_rows)
+    path = str(tmp_path / "lab.csv")
+    for rest in ("", "0.3,1,2,0,0,1\n"):
+        with open(path, "w") as fh:
+            fh.write('t,x,y,p,packet_id,cluster_id\n0.1,1,2,0,0,1\n0.2,1,2,0,0,"1\n' + rest)
+        assert outcome(io._read_csv, path, io.LABELED_COLUMNS) == outcome(io._read_csv_per_line, path, io.LABELED_COLUMNS)

@@ -1,7 +1,7 @@
-"""The filter, cluster and track commands stream a writer-form file in
-chunks of io._CHUNK_ROWS lines.  Their bytes and printed counts must equal
-those of the whole-file path at any chunk size, and any other input must
-take the whole-file path, errors included."""
+"""The filter, cluster and track commands read, process and write their
+input in chunks of io._CHUNK_ROWS lines.  Their bytes, printed counts and
+errors must equal those of the library calls that they stand for, run on
+the whole input at once, at any chunk size."""
 
 import contextlib
 import dataclasses
@@ -19,17 +19,25 @@ from hypothesis import strategies as st
 
 import evshift
 from evshift import cli, io
-from evshift.events import EventStream, SensorGeometry
-from evshift.io import LabeledEvents, Unstreamable, write_events, write_labeled_events, write_tracks
-from evshift.pipeline import track_labelings
+from evshift.errors import EmptyAlignmentError
+from evshift.events import EventStream, SensorGeometry, packetize
+from evshift.filtering import filter_stream
+from evshift.io import (
+    LabeledEvents,
+    read_events,
+    read_labeled_events,
+    write_events,
+    write_labeled_events,
+    write_tracks,
+)
+from evshift.pipeline import cluster_packets, labeled_from_packets, track_labelings
 from evshift.scenes import build_scene
 from evshift.synth import generate
-from evshift.tracking import TrackerParams
+from evshift.tracking import TrackerParams, TrackStatus
 
 SRC = os.path.dirname(os.path.dirname(evshift.__file__))
+TESTS = os.path.dirname(os.path.abspath(__file__))
 CHUNK_ROWS = [1, 2, 3, 499, 500, 501, 7 * 500]
-WHOLE = {"filter": "_filter_whole", "cluster": "_cluster_whole", "track": "_track_whole"}
-STREAMED = {"filter": "_filter_streamed", "cluster": "_cluster_streamed", "track": "_track_streamed"}
 
 
 def run(argv):
@@ -38,14 +46,6 @@ def run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
     return rc, out.getvalue(), err.getvalue()
-
-
-def _refuse(*_args):
-    raise Unstreamable("the whole-file path, for comparison")
-
-
-def _forbid(*_args):
-    raise AssertionError("a writer-form input fell back to the whole-file path")
 
 
 def outcome(argv):
@@ -57,20 +57,39 @@ def outcome(argv):
     return rc, stdout, stderr, open(out, "rb").read() if os.path.exists(out) else None
 
 
-def streamed(argv):
-    """outcome(argv), where the whole-file path must not run unless the
-    input holds no rows."""
-    with pytest.MonkeyPatch.context() as mp:
-        with open(argv[argv.index("--in") + 1]) as fh:
-            if len(fh.readlines()) > 1:
-                mp.setattr(cli, WHOLE[argv[0]], _forbid)
-        return outcome(argv)
+def whole_input_command(args):
+    """The filter, cluster or track command as the library calls that it
+    stands for, run on the whole input at once."""
+    cfg = cli._build_config(args)
+    if args.command == "track":
+        rows = read_labeled_events(args.input)
+        if len(rows) == 0:
+            raise EmptyAlignmentError("labeled event file is empty")
+        tracks, _ = track_labelings(rows, cfg.pipeline_params().tracker_params)
+        write_tracks(args.out, tracks)
+        counts = {"packets": len(np.unique(rows.packet_id)), "tracks": len({r.track_id for r in tracks}),
+                  "confirmed_tracks": len({r.track_id for r in tracks if r.status == TrackStatus.CONFIRMED.value})}
+    else:
+        events, geom = read_events(args.input)
+        params = cfg.pipeline_params()
+        if args.command == "filter":
+            kept = events if params.filter_params is None else filter_stream(events, params.filter_params, geom)
+            write_events(args.out, kept, geom)
+            counts = {"events_in": len(events), "events_out": len(kept)}
+        else:
+            packets = list(packetize(events, params.packet_size, geom, params.decay))
+            labelings = cluster_packets(packets, params.ms_params)
+            write_labeled_events(args.out, labeled_from_packets(packets, labelings))
+            counts = {"packets": len(packets), "clusters": sum(lab.n_clusters for lab in labelings),
+                      "kernel_evals": sum(lab.ops_count for lab in labelings)}
+    print("\n".join(f"{key} = {value}" for key, value in counts.items()))
+    return 0
 
 
-def whole(argv):
-    """outcome(argv) on the whole-file path."""
+def oracle(argv):
+    """outcome(argv) with the command replaced by whole_input_command."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, STREAMED[argv[0]], _refuse)
+        mp.setattr(cli, "cmd_" + argv[0], whole_input_command)
         return outcome(argv)
 
 
@@ -109,22 +128,17 @@ def test_streamed_commands_equal_whole_file_path(tmp_path_factory, drawn, chunk_
         ["track", "--in", labeled, "--out", tracks],
     ]
     for argv in commands:
-        want = whole(argv)
+        want = oracle(argv)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(io, "_CHUNK_ROWS", chunk_rows)
-            assert streamed(argv) == want, argv[0]
+            assert outcome(argv) == want, argv[0]
 
 
 SCRIPT = textwrap.dedent("""
-    import contextlib, hashlib, io as _stringio, json, sys
-    from evshift import cli, io
-    from evshift.io import Unstreamable
-
-    def refuse(*_args):
-        raise Unstreamable("the whole-file path, for comparison")
-
-    def forbid(*_args):
-        raise AssertionError("fell back to the whole-file path")
+    import hashlib, json, sys
+    sys.path.insert(0, sys.argv[3])
+    from evshift import io
+    from test_streaming import oracle, outcome
 
     events, d = sys.argv[1], sys.argv[2]
     commands = [
@@ -132,21 +146,16 @@ SCRIPT = textwrap.dedent("""
         ["cluster", "--in", d + "/kept.txt", "--out", d + "/lab.csv", "--packet-size", "100"],
         ["track", "--in", d + "/lab.csv", "--out", d + "/tracks.csv"],
     ]
-    whole = {name: getattr(cli, name) for name in ("_filter_whole", "_cluster_whole", "_track_whole")}
     digests = {}
-    for rows in (499, 500, 501, 3500, "whole"):
-        if rows == "whole":
-            vars(cli).update(whole, _filter_streamed=refuse, _cluster_streamed=refuse, _track_streamed=refuse)
-        else:
-            vars(cli).update(dict.fromkeys(whole, forbid))
-            io._CHUNK_ROWS = rows
+    for rows in ("oracle", 499, 500, 501, 3500):
         h = hashlib.sha256()
         for argv in commands:
-            buf = _stringio.StringIO()
-            with contextlib.redirect_stdout(buf):
-                assert cli.main(argv) == 0
-            h.update(buf.getvalue().encode())
-            h.update(open(argv[4], "rb").read())
+            if rows != "oracle":
+                io._CHUNK_ROWS = rows
+            rc, stdout, _, out = oracle(argv) if rows == "oracle" else outcome(argv)
+            assert rc == 0
+            h.update(stdout.encode())
+            h.update(out)
         digests[str(rows)] = h.hexdigest()
     print(json.dumps(digests))
 """)
@@ -160,13 +169,13 @@ def test_any_chunk_size_and_blas_thread_count_give_the_same_bytes(tmp_path):
     # BLAS reads its thread count when numpy loads, so each count is a process
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=SRC)
-        res = subprocess.run([sys.executable, "-c", SCRIPT, events, str(tmp_path)], env=env,
+        res = subprocess.run([sys.executable, "-c", SCRIPT, events, str(tmp_path), TESTS], env=env,
                              capture_output=True, text=True, check=True)
         digests.extend(json.loads(res.stdout).values())
     assert len(digests) == 10 and len(set(digests)) == 1
 
 
-# --- inputs that must take the whole-file path, at 3 lines per chunk ---------
+# --- comments, faults and odd inputs, at 3 lines per chunk ------------------
 
 @pytest.fixture
 def small_chunks(monkeypatch):
@@ -199,7 +208,7 @@ def test_mid_file_comment_gives_the_bytes_of_the_plain_file(tmp_path, small_chun
     commented.write_text("# 5 4\n" + "".join(lines[:20]) + "# a comment\n" + "".join(lines[20:]))
     for command in ("filter", "cluster"):
         args = ["--out", str(tmp_path / "o"), "--filter-window", "0.002", "--packet-size", "7"]
-        want = streamed([command, "--in", str(plain), *args])
+        want = outcome([command, "--in", str(plain), *args])
         assert want[0] == 0
         assert outcome([command, "--in", str(commented), *args]) == want
 
@@ -215,6 +224,27 @@ def test_decreasing_packet_ids_are_tracked_in_packet_order(tmp_path, small_chunk
     assert rc == 0 and out.startswith("packets = 4\n")
     write_tracks(str(want), track_labelings(rows, TrackerParams())[0])
     assert tracks.read_bytes() == want.read_bytes()
+
+
+def test_blank_lines_in_a_labeled_file_give_the_bytes_of_the_plain_file(tmp_path, small_chunks):
+    packet_id = np.repeat([0, 1, 2, 3], 6)
+    i = np.arange(len(packet_id))
+    rows = LabeledEvents(0.001 * i, 10 + i % 5, 10 + i % 3, i % 2, packet_id, (i // 3) % 2)
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    write_labeled_events(str(plain), rows)
+    lines = plain.read_text().splitlines(keepends=True)
+    # lines 11-13 are blank, a whole chunk of them
+    blank.write_text("".join(lines[:10] + ["\n"] * 3 + lines[10:]))
+    want = outcome(["track", "--in", str(plain), "--out", str(tmp_path / "o.csv")])
+    assert want[0] == 0
+    assert outcome(["track", "--in", str(blank), "--out", str(tmp_path / "o.csv")]) == want
+
+
+def test_an_empty_labeled_file_fails_before_the_output_is_opened(tmp_path, small_chunks):
+    lab = tmp_path / "lab.csv"
+    lab.write_text("t,x,y,p,packet_id,cluster_id\n")
+    rc, _, err = run(["track", "--in", str(lab), "--out", str(tmp_path / "missing" / "tracks.csv")])
+    assert rc == 8 and "labeled event file is empty" in err
 
 
 def test_failing_run_leaves_the_old_output(tmp_path, small_chunks):
@@ -268,6 +298,70 @@ def test_key_overflow_counts_the_distinct_timestamps_of_the_whole_stream(tmp_pat
     events.write_text("# 2000000000 2000000000\n0.1 1 1 1\n0.2 1 1 1\n0.3 1 1 1\n")
     rc, _, err = run(["filter", "--in", str(events), "--out", str(tmp_path / "o.txt"), "--filter-window", "0.01"])
     assert rc == 6 and "3 distinct timestamps overflows" in err
+
+
+def test_key_overflow_names_the_distinct_timestamps_of_the_whole_stream(tmp_path, monkeypatch):
+    # the keys overflow at the third timestamp; the error names all four
+    monkeypatch.setattr(io, "_CHUNK_ROWS", 1)
+    events = tmp_path / "ev.txt"
+    events.write_text("# 2000000000 2000000000\n0.1 1 1 1\n0.2 1 1 1\n0.3 1 1 1\n0.4 1 1 1\n")
+    rc, _, err = run(["filter", "--in", str(events), "--out", str(tmp_path / "o.txt"), "--filter-window", "0.01"])
+    assert rc == 6 and "4 distinct timestamps overflows" in err
+
+
+def test_a_read_fault_later_in_the_file_wins(tmp_path, small_chunks):
+    # line 9 (chunk 3) is malformed; the command fails before it or cannot open its output
+    bad = tmp_path / "ev.txt"
+    bad.write_text("# 10 10\n" + "".join(f"0.{i} 1 1 0\n" for i in range(1, 8)) + "0.8 1 x 1\n")
+    missing = str(tmp_path / "missing" / "o")
+    for argv in (["cluster", "--out", str(tmp_path / "o"), "--packet-size", "0"],
+                 ["filter", "--out", missing], ["cluster", "--out", missing]):
+        rc, _, err = run([argv[0], "--in", str(bad), *argv[1:]])
+        assert rc == 4 and f"{bad}:9: " in err, argv
+    # time goes back at packet 1, which ends in chunk 2; line 10 (chunk 3) holds zz
+    lab = tmp_path / "lab.csv"
+    rows = [(0.9, 0), (0.9, 0), (0.9, 0), (0.4, 1), (0.4, 1), (0.95, 2), (0.95, 2), (0.95, 2)]
+    lab.write_text("t,x,y,p,packet_id,cluster_id\n" + "".join(f"{t},5,5,0,{pid},0\n" for t, pid in rows)
+                   + "zz,5,5,0,2,0\n")
+    rc, _, err = run(["track", "--in", str(lab), "--out", str(tmp_path / "tracks.csv")])
+    assert rc == 4 and f"{lab}:10: t must be float" in err
+
+
+@pytest.fixture
+def clustered(monkeypatch):
+    """The packets that reach cli.cluster_packets, in order."""
+    packets = []
+    cluster_packets = cli.cluster_packets
+
+    def spy(batch, params):
+        packets.extend(batch)
+        return cluster_packets(batch, params)
+
+    monkeypatch.setattr(cli, "cluster_packets", spy)
+    return packets
+
+
+def test_missing_output_directory_exits_before_clustering(tmp_path, clustered):
+    events = tmp_path / "ev.txt"
+    events.write_text("# 10 10\n" + "".join(f"0.{i} 1 1 0\n" for i in range(1, 8)))
+    rc, _, err = run(["cluster", "--in", str(events), "--out", str(tmp_path / "missing" / "x.csv")])
+    assert rc == 3 and "file not found" in err
+    assert clustered == []
+
+
+@pytest.mark.parametrize("chunk_rows, where", [(500, "end"), (3, "middle")])
+def test_a_comment_clusters_each_packet_once(tmp_path, monkeypatch, clustered, chunk_rows, where):
+    gen = generate(dataclasses.replace(build_scene("reference"), duration=0.1))
+    events, kept, commented, out = (str(tmp_path / name) for name in ("ev.txt", "kept.txt", "c.txt", "o.csv"))
+    write_events(events, gen.events, gen.geometry)
+    assert run(["filter", "--in", events, "--out", kept])[0] == 0
+    lines = open(kept).readlines()
+    at = len(lines) if where == "end" else len(lines) // 2
+    open(commented, "w").write("".join(lines[:at] + ["# note\n"] + lines[at:]))
+    want = oracle(["cluster", "--in", kept, "--out", out])
+    monkeypatch.setattr(io, "_CHUNK_ROWS", chunk_rows)
+    assert outcome(["cluster", "--in", commented, "--out", out]) == want
+    assert want[1].startswith(f"packets = {len(clustered)}\n")
 
 
 # --- memory ------------------------------------------------------------------
