@@ -71,7 +71,6 @@ from .tracking import (
     associate,
     make_track,
     predict,
-    step,
     update,
 )
 

@@ -13,7 +13,7 @@ import argparse
 import dataclasses
 import itertools
 import sys
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .io import (
     write_truth,
 )
 from .metrics import cluster_scores, kmeans_baseline, pair_counts, precision_recall_f, tracking_error
-from .pipeline import cluster_packets, labeled_from_packets, track_packet
+from .pipeline import PacketIdsGoBack, cluster_packets, in_packet_order, labeled_from_packets, track_chunks
 from .scenes import SCENE_BUILDERS, build_scene
 from .synth import generate, load_scene
 from .tracking import Tracker, TrackStatus
@@ -181,48 +181,21 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return _run(body, chunks)
 
 
-class _PacketIdsGoBack(Exception):
-    """A labeled file whose packet ids go back, which is tracked in packet
-    id order."""
-
-
-def _packet_runs(chunks: Iterable[LabeledEvents]) -> Iterator[LabeledEvents]:
-    """The rows of each packet of a labeled file in chunks, packet by packet
-    in file order; _PacketIdsGoBack where a packet id falls below the one
-    before it."""
-    pending: List[LabeledEvents] = []  # the parts of the packet that the next chunk may go on with
-    last = None
-    for chunk in chunks:
-        pid = chunk.packet_id
-        if (last is not None and pid[0] < last) or (pid[1:] < pid[:-1]).any():
-            raise _PacketIdsGoBack
-        begin = 0
-        # the rows that start a packet, the first one too when it starts one
-        for cut in np.flatnonzero(np.diff(pid, prepend=pid[0] if last is None else last)):
-            yield LabeledEvents.concat([*pending, chunk[begin:cut]])
-            pending, begin = [], cut
-        pending.append(chunk[begin:])
-        last = pid[-1]
-    if pending:
-        yield LabeledEvents.concat(pending)
-
-
 def cmd_track(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
 
-    def body(packets: Iterator[LabeledEvents]) -> List[str]:
-        if (first := next(packets, None)) is None:
+    def body(chunks: Iterator[LabeledEvents]) -> List[str]:
+        if (first := next(chunks, None)) is None:  # no chunk is empty
             raise EmptyAlignmentError("labeled event file is empty")
-        tracker = Tracker(cfg.pipeline_params().tracker_params)
+        packets = track_chunks(Tracker(cfg.pipeline_params().tracker_params), itertools.chain([first], chunks))
         n_packets = 0
         track_ids, confirmed = set(), set()
 
         def pieces():
             nonlocal n_packets
             yield csv_header(TRACKS_COLUMNS)
-            for packet in itertools.chain([first], packets):
+            for rows in packets:
                 n_packets += 1
-                rows = track_packet(tracker, packet)
                 track_ids.update(r.track_id for r in rows)
                 confirmed.update(r.track_id for r in rows if r.status == TrackStatus.CONFIRMED.value)
                 yield from track_lines(rows)
@@ -231,10 +204,9 @@ def cmd_track(args: argparse.Namespace) -> int:
         return [f"packets = {n_packets}", f"tracks = {len(track_ids)}", f"confirmed_tracks = {len(confirmed)}"]
 
     try:
-        return _run(body, _packet_runs(labeled_chunks(args.input)))
-    except _PacketIdsGoBack:
-        rows = read_labeled_events(args.input)
-        return _run(body, _packet_runs([rows[np.argsort(rows.packet_id, kind="stable")]]))
+        return _run(body, labeled_chunks(args.input))
+    except PacketIdsGoBack:
+        return _run(body, iter([in_packet_order(read_labeled_events(args.input))]))
 
 
 def _truth_labels_for(rows: LabeledEvents, truth: Sequence[np.ndarray]) -> np.ndarray:

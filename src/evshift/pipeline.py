@@ -8,16 +8,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .clustering import ClusterLabeling, MeanShiftParams, cluster_centroids, cluster_packet
+from .clustering import NOISE, ClusterLabeling, MeanShiftParams, cluster_packet
 from .errors import ContractViolationError
 from .events import DecayParams, Event, Packet, SensorGeometry, as_stream, packetize
 from .filtering import FilterParams, filter_stream
 from .io import LabeledEvents, TrackRow
-from .tracking import Measurement, Tracker, TrackerParams
+from .tracking import Measurements, Tracker, TrackerParams
 
 
 @dataclass(frozen=True)
@@ -87,36 +87,111 @@ def labeled_from_packets(
     )
 
 
-def track_labelings(labeled: LabeledEvents, params: TrackerParams) -> tuple[List[TrackRow], Tracker]:
-    """Feed per-packet cluster centroids through the tracker, packet by
-    packet in ascending packet id, through track_packet."""
-    tracker = Tracker(params)
-    rows: List[TrackRow] = []
-    for _, idx in labeled.packet_groups():
-        rows += track_packet(tracker, labeled[idx])
-    return rows, tracker
+class PacketIdsGoBack(Exception):
+    """A labeled file whose packet ids go back, which is tracked in packet
+    id order."""
 
 
-def track_packet(tracker: Tracker, packet: LabeledEvents) -> List[TrackRow]:
-    """Observe the cluster centroids of one packet's rows at the packet's
-    newest timestamp; one row per live track after it.
+@dataclass
+class _PacketSums:
+    """Per-cluster coordinate sums (g, 2) and counts of the rows of one
+    packet read so far, cluster ids ascending, and their newest timestamp."""
+
+    packet_id: int
+    t: float
+    ids: np.ndarray
+    sums: np.ndarray
+    counts: np.ndarray
+
+    def merged(self, more: "_PacketSums") -> "_PacketSums":
+        ids, inverse = np.unique(np.concatenate([self.ids, more.ids]), return_inverse=True)
+        sums, counts = np.zeros((len(ids), 2)), np.zeros(len(ids), dtype=int)
+        np.add.at(sums, inverse, np.concatenate([self.sums, more.sums]))
+        np.add.at(counts, inverse, np.concatenate([self.counts, more.counts]))
+        return _PacketSums(self.packet_id, float(np.maximum(self.t, more.t)), ids, sums, counts)
+
+    def measurements(self) -> Measurements:
+        return Measurements(np.full(len(self.ids), self.t), self.sums / self.counts[:, None], self.ids)
+
+
+def _run_sums(chunk: LabeledEvents) -> Iterator[_PacketSums]:
+    """The sums of each run of rows with one packet id in a chunk, in order."""
+    pid = chunk.packet_id
+    starts = np.flatnonzero(np.r_[True, pid[1:] != pid[:-1]])
+    run = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(pid)))
+    keep = chunk.cluster_id != NOISE
+    ids, inverse = np.unique(chunk.cluster_id[keep], return_inverse=True)
+    # one group per (run, cluster), ordered by run and then by cluster id
+    keys, group, counts = np.unique(run[keep] * len(ids) + inverse, return_inverse=True, return_counts=True)
+    sums = np.column_stack([np.bincount(group, weights=c[keep], minlength=len(keys)) for c in (chunk.x, chunk.y)])
+    bounds = np.searchsorted(keys, np.arange(len(starts) + 1) * len(ids))
+    newest = np.maximum.reduceat(chunk.t, starts)
+    for r, start in enumerate(starts.tolist()):
+        g = slice(bounds[r], bounds[r + 1])
+        yield _PacketSums(int(pid[start]), float(newest[r]), ids[keys[g] - r * len(ids)], sums[g], counts[g])
+
+
+def packet_centroids(chunks: Iterable[LabeledEvents]) -> Iterator[Tuple[float, Measurements]]:
+    """The newest timestamp and the cluster centroids, at that time, of each
+    packet of labeled rows in chunks, packet by packet in file order; a
+    packet is a run of rows with one packet id, and NOISE rows count only
+    for its timestamp.  PacketIdsGoBack where a packet id falls below the
+    one before it.
+
+    No rows are held: each chunk adds to per-(packet, cluster) coordinate
+    sums and counts.  While a packet's coordinate sums stay below 2**53 in
+    magnitude they are exact, so a centroid has the bits of
+    cluster_centroids over the whole packet at once.  Past that they round,
+    and a centroid's bits may depend on where the chunks split the packet.
+    """
+    pending: Optional[_PacketSums] = None  # the packet that the next chunk may go on with
+    for chunk in chunks:
+        pid = chunk.packet_id
+        if len(pid) == 0:
+            continue
+        if (pending is not None and pid[0] < pending.packet_id) or (pid[1:] < pid[:-1]).any():
+            raise PacketIdsGoBack
+        for part in _run_sums(chunk):
+            if pending is not None and pending.packet_id == part.packet_id:
+                part = pending.merged(part)
+            elif pending is not None:
+                yield pending.t, pending.measurements()
+            pending = part
+    if pending is not None:
+        yield pending.t, pending.measurements()
+
+
+def in_packet_order(labeled: LabeledEvents) -> LabeledEvents:
+    """The rows in ascending packet id, each packet's rows in file order."""
+    return labeled[np.argsort(labeled.packet_id, kind="stable")]
+
+
+def track_chunks(tracker: Tracker, chunks: Iterable[LabeledEvents]) -> Iterator[List[TrackRow]]:
+    """Per packet of labeled rows in chunks (see packet_centroids): observe
+    its cluster centroids at its newest timestamp, then give one row per
+    live track.
 
     Raw centroid columns are NaN for a track that coasted on prediction
     alone in this packet.
     """
-    t = float(packet.t.max())
-    ids, centroids, masses = cluster_centroids(packet.cluster_id, packet.x, packet.y)
-    tracker.observe(t, [
-        Measurement(t=t, position=pos, cluster_id=int(cid), mass=int(mass))
-        for cid, pos, mass in zip(ids, centroids, masses)
-    ])
-    rows = []
-    for tr in tracker.live_tracks():
-        fresh = tr.last_measurement is not None and tr.measured_t == t
-        raw = tr.last_measurement if fresh else (math.nan, math.nan)
+    for t, measurements in packet_centroids(chunks):
+        tracker.observe(t, measurements)
+        live = tracker.live
+        raw = np.where((live.measured_t == t)[:, None], live.last_measurement, math.nan)
+        status = [st.value for st in live.status()]
         # state is x, y, vx, vy; raw is the centroid measured at t
-        rows.append(TrackRow(t, tr.track_id, *map(float, tr.state), tr.status.value, *map(float, raw)))
-    return rows
+        yield [
+            TrackRow(t, *fields)
+            for fields in zip(live.track_id.tolist(), *live.state.T.tolist(), status, *raw.T.tolist())
+        ]
+
+
+def track_labelings(labeled: LabeledEvents, params: TrackerParams) -> tuple[List[TrackRow], Tracker]:
+    """Feed per-packet cluster centroids through the tracker, packet by
+    packet in ascending packet id, through track_chunks."""
+    tracker = Tracker(params)
+    rows = [row for packet in track_chunks(tracker, iter([in_packet_order(labeled)])) for row in packet]
+    return rows, tracker
 
 
 def run_pipeline(

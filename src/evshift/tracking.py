@@ -5,13 +5,21 @@ by white acceleration noise.  Measurements are cluster centroids in pixel
 coordinates.  Association is greedy nearest neighbor inside a gate; track
 lifecycle is hit/miss counting with a confirmation threshold and a miss
 limit.  Track ids are never reused.
+
+The tracker holds its live tracks as stacked arrays, one row per track, and
+runs each stage of a cycle on all rows at once: one prediction per distinct
+time step, one distance matrix, one Joseph update over the matched rows.
+Every row gets the bits that the same stage on that track alone gives, and
+make_track, predict and update are that one-track case.  A track leaves the
+arrays in the cycle in which it dies.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,6 +62,30 @@ class Measurement:
     mass: int = 0
 
 
+@dataclass(frozen=True)
+class Measurements:
+    """The centroids of one packet as columns: times (m,), positions (m, 2)
+    and cluster ids (m,)."""
+
+    t: np.ndarray
+    position: np.ndarray
+    cluster_id: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cluster_id)
+
+    def __getitem__(self, rows) -> "Measurements":
+        return Measurements(self.t[rows], self.position[rows], self.cluster_id[rows])
+
+    @staticmethod
+    def of(ms: Sequence[Measurement]) -> "Measurements":
+        return Measurements(
+            np.array([m.t for m in ms], dtype=float),
+            np.array([m.position for m in ms], dtype=float).reshape(len(ms), 2),
+            np.array([m.cluster_id for m in ms], dtype=int),
+        )
+
+
 def transition_matrix(dt: float) -> np.ndarray:
     a = np.eye(4)
     a[0, 2] = dt
@@ -62,9 +94,15 @@ def transition_matrix(dt: float) -> np.ndarray:
 
 
 def process_noise(dt: float, q_var: float) -> np.ndarray:
-    """Process covariance of integrated white acceleration over dt."""
-    d3 = dt ** 3 / 3.0
-    d2 = dt ** 2 / 2.0
+    """Process covariance of integrated white acceleration over dt;
+    NumericalError where a term is not finite."""
+    try:
+        d3 = dt ** 3 / 3.0
+        d2 = dt ** 2 / 2.0
+    except OverflowError:
+        d3 = d2 = math.inf
+    if not all(math.isfinite(q_var * d) for d in (d3, d2, dt)):
+        raise NumericalError(f"process noise over a step of {dt} s is not finite")
     return q_var * np.array(
         [
             [d3, 0.0, d2, 0.0],
@@ -107,23 +145,144 @@ class Track:
         return self.state[2:].copy()
 
 
-def make_track(track_id: int, m: Measurement, params: TrackerParams) -> Track:
-    """Start a track at a measurement with zero velocity.
+@dataclass
+class TrackTable:
+    """Tracks as stacked arrays, one row per track: ids (k,), states (k, 4),
+    covariances (k, 4, 4), and per row the time of its state, its current
+    runs of hits and misses, whether it is confirmed, and the cluster id,
+    time and position (k, 2) of its last measurement."""
+
+    track_id: np.ndarray
+    state: np.ndarray
+    covariance: np.ndarray
+    t: np.ndarray
+    hits: np.ndarray
+    misses: np.ndarray
+    confirmed: np.ndarray
+    last_cluster_id: np.ndarray
+    measured_t: np.ndarray
+    last_measurement: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.track_id)
+
+    def __getitem__(self, rows) -> "TrackTable":
+        return TrackTable(*(col[rows] for col in vars(self).values()))
+
+    @staticmethod
+    def concat(a: "TrackTable", b: "TrackTable") -> "TrackTable":
+        return TrackTable(*map(np.concatenate, zip(vars(a).values(), vars(b).values())))
+
+    def status(self, dead: bool = False) -> List[TrackStatus]:
+        """The status of each row: DEAD if dead, else from its confirmed flag."""
+        if dead:
+            return [TrackStatus.DEAD] * len(self)
+        return [TrackStatus.CONFIRMED if c else TrackStatus.TENTATIVE for c in self.confirmed.tolist()]
+
+    def tracks(self, dead: bool = False) -> List[Track]:
+        """The rows as Track objects whose arrays are views of the rows."""
+        return [
+            Track(tid, x, p, t, s, hits, misses, cid, mt, z)
+            for tid, x, p, t, s, hits, misses, cid, mt, z in zip(
+                self.track_id.tolist(), self.state, self.covariance, self.t.tolist(), self.status(dead),
+                self.hits.tolist(), self.misses.tolist(), self.last_cluster_id.tolist(),
+                self.measured_t.tolist(), self.last_measurement,
+            )
+        ]
+
+
+def _swap(m: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix of a stack."""
+    return m.swapaxes(-1, -2)
+
+
+def _spawned(ms: Measurements, first_id: int, r_var: float) -> TrackTable:
+    """New tracks at measurements with zero velocity, ids from first_id.
 
     Position variance equals the measurement variance; velocity variance is
     large because velocity is unobserved until a second association.
     """
-    state = np.array([m.position[0], m.position[1], 0.0, 0.0])
-    cov = np.diag([params.r_var, params.r_var, 1e4, 1e4])
-    return Track(
-        track_id=track_id,
-        state=state,
-        covariance=cov,
-        t=m.t,
-        last_cluster_id=m.cluster_id,
-        measured_t=m.t,
-        last_measurement=np.asarray(m.position, dtype=float).copy(),
+    n = len(ms)
+    state = np.zeros((n, 4))
+    state[:, :2] = ms.position
+    cov = np.broadcast_to(np.diag([r_var, r_var, 1e4, 1e4]), (n, 4, 4)).copy()
+    return TrackTable(
+        np.arange(first_id, first_id + n), state, cov, ms.t.copy(), np.ones(n, dtype=int),
+        np.zeros(n, dtype=int), np.zeros(n, dtype=bool), ms.cluster_id.copy(), ms.t.copy(),
+        ms.position.copy(),
     )
+
+
+def _predicted(x: np.ndarray, p: np.ndarray, dt: float, q_var: float) -> Tuple[np.ndarray, np.ndarray]:
+    """States (n, 4) and covariances (n, 4, 4) advanced by one step of dt;
+    NumericalError where a result is not finite."""
+    a = transition_matrix(dt)
+    q = process_noise(dt, q_var)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (a @ x[..., None])[..., 0]
+        p = a @ p @ a.T + q
+    if not (np.isfinite(x).all() and np.isfinite(p).all()):
+        raise NumericalError(f"prediction over a step of {dt} s is not finite")
+    return x, p
+
+
+def _updated(x: np.ndarray, p: np.ndarray, z: np.ndarray, r_var: float) -> Tuple[np.ndarray, np.ndarray]:
+    """States and covariances fused with positions z (n, 2).
+
+    Uses the Joseph form of the covariance update plus symmetrization so the
+    covariance stays positive semidefinite under roundoff.
+    """
+    h = MEASUREMENT_MATRIX
+    r = r_var * np.eye(2)
+    hp = h @ p
+    try:
+        k = _swap(np.linalg.solve(hp @ h.T + r, hp))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular innovation covariance: {exc}") from exc
+    innovation = z[..., None] - h @ x[..., None]
+    x = x + (k @ innovation)[..., 0]
+    ikh = np.eye(4) - k @ h
+    p = ikh @ p @ _swap(ikh) + k @ r @ _swap(k)
+    return x, 0.5 * (p + _swap(p))
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance (k, m) between positions a (k, 2) and b (m, 2),
+    with the bits of np.linalg.norm(a[i] - b[j]): both take the square
+    root of one BLAS dot product, where an elementwise sum of squares
+    rounds differently."""
+    d = a[:, None, :] - b[None, :, :]
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+
+
+def _pairs(positions: np.ndarray, track_ids: np.ndarray, ms: Measurements, gate: float) -> List[Tuple[int, int]]:
+    """Greedy nearest-neighbor (row, measurement) pairs inside the gate.
+
+    Candidate pairs are sorted by (distance, track_id, cluster_id, row,
+    measurement) and taken greedily, each row and each measurement at most
+    once.  The tie-break keys make the result order independent.
+    """
+    if len(track_ids) == 0 or len(ms) == 0:
+        return []
+    d = _distances(positions, ms.position)
+    ti, mi = np.nonzero(d <= gate)
+    keys = (d[ti, mi], track_ids[ti], ms.cluster_id[mi], ti, mi)
+    cands = sorted(zip(*(key.tolist() for key in keys)))
+    used_t: set[int] = set()
+    used_m: set[int] = set()
+    pairs = []
+    for _, _, _, a, b in cands:
+        if a in used_t or b in used_m:
+            continue
+        used_t.add(a)
+        used_m.add(b)
+        pairs.append((a, b))
+    return pairs
+
+
+def make_track(track_id: int, m: Measurement, params: TrackerParams) -> Track:
+    """Start a track at a measurement with zero velocity."""
+    return _spawned(Measurements.of([m]), track_id, params.r_var).tracks()[0]
 
 
 def predict(track: Track, t: float, params: TrackerParams) -> None:
@@ -131,33 +290,18 @@ def predict(track: Track, t: float, params: TrackerParams) -> None:
     dt = t - track.t
     if dt < 0:
         raise ContractViolationError(f"prediction time went backwards: {track.t} -> {t}")
-    a = transition_matrix(dt)
-    track.state = a @ track.state
-    track.covariance = a @ track.covariance @ a.T + process_noise(dt, params.q_var)
-    track.t = t
+    x, p = _predicted(track.state[None], track.covariance[None], float(dt), params.q_var)
+    track.state, track.covariance, track.t = x[0], p[0], t
 
 
 def update(track: Track, m: Measurement, params: TrackerParams) -> None:
-    """Fuse one centroid measurement in place.
-
-    Uses the Joseph form of the covariance update plus symmetrization so the
-    covariance stays positive semidefinite under roundoff.
-    """
-    h = MEASUREMENT_MATRIX
-    r = params.r_var * np.eye(2)
-    s = h @ track.covariance @ h.T + r
-    try:
-        k = np.linalg.solve(s, h @ track.covariance).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular innovation covariance: {exc}") from exc
-    innovation = m.position - h @ track.state
-    track.state = track.state + k @ innovation
-    ikh = np.eye(4) - k @ h
-    track.covariance = ikh @ track.covariance @ ikh.T + k @ r @ k.T
-    track.covariance = 0.5 * (track.covariance + track.covariance.T)
+    """Fuse one centroid measurement in place."""
+    z = np.asarray(m.position, dtype=float).copy()
+    x, p = _updated(track.state[None], track.covariance[None], z[None], params.r_var)
+    track.state, track.covariance = x[0], p[0]
     track.last_cluster_id = m.cluster_id
     track.measured_t = m.t
-    track.last_measurement = np.asarray(m.position, dtype=float).copy()
+    track.last_measurement = z
 
 
 def associate(
@@ -165,95 +309,95 @@ def associate(
     measurements: List[Measurement],
     gate: float,
 ) -> List[Tuple[int, int]]:
-    """Greedy nearest-neighbor assignment of measurements to live tracks.
-
-    Candidate pairs inside the gate are sorted by (distance, track_id,
-    cluster_id) and taken greedily, each track and each measurement at most
-    once.  The tie-break keys make the result order independent.
-    """
-    cands = []
-    for ti, tr in enumerate(tracks):
-        if tr.status is TrackStatus.DEAD:
-            continue
-        for mi, m in enumerate(measurements):
-            d = float(np.linalg.norm(tr.position - m.position))
-            if d <= gate:
-                cands.append((d, tr.track_id, m.cluster_id, ti, mi))
-    cands.sort()
-    used_t: set[int] = set()
-    used_m: set[int] = set()
-    pairs = []
-    for _, _, _, ti, mi in cands:
-        if ti in used_t or mi in used_m:
-            continue
-        used_t.add(ti)
-        used_m.add(mi)
-        pairs.append((ti, mi))
-    return pairs
+    """Greedy nearest-neighbor assignment of measurements to live tracks,
+    as (index in tracks, index in measurements) pairs; see _pairs."""
+    live = [ti for ti, tr in enumerate(tracks) if tr.status is not TrackStatus.DEAD]
+    positions = np.array([tracks[ti].state[:2] for ti in live], dtype=float).reshape(-1, 2)
+    track_ids = np.array([tracks[ti].track_id for ti in live], dtype=int)
+    return [(live[a], b) for a, b in _pairs(positions, track_ids, Measurements.of(measurements), gate)]
 
 
-def step(
-    tracks: List[Track],
-    measurements: List[Measurement],
-    t: float,
-    params: TrackerParams,
-    next_id: int,
-) -> Tuple[List[Track], int]:
-    """One tracker cycle: predict, associate, update, lifecycle, spawn.
-
-    Mutates the given tracks; returns (tracks, next_id).  Dead tracks stay
-    in the list so ids are never reissued.  Hits count the current run of
-    consecutive associations; a miss resets the run.
-    """
-    for tr in tracks:
-        if tr.status is not TrackStatus.DEAD:
-            predict(tr, t, params)
-    pairs = associate(tracks, measurements, params.gate)
-    matched_t = {ti for ti, _ in pairs}
-    matched_m = {mi for _, mi in pairs}
-    for ti, mi in pairs:
-        tr = tracks[ti]
-        update(tr, measurements[mi], params)
-        if tr.misses == 0:
-            tr.hits += 1
-        else:
-            tr.hits = 1
-        tr.misses = 0
-        if tr.status is TrackStatus.TENTATIVE and tr.hits >= params.confirm_hits:
-            tr.status = TrackStatus.CONFIRMED
-    for ti, tr in enumerate(tracks):
-        if tr.status is TrackStatus.DEAD or ti in matched_t:
-            continue
-        tr.misses += 1
-        if tr.misses >= params.max_misses:
-            tr.status = TrackStatus.DEAD
-    for mi, m in enumerate(measurements):
-        if mi in matched_m:
-            continue
-        tracks.append(make_track(next_id, m, params))
-        next_id += 1
-    return tracks, next_id
+def _advanced(live: TrackTable, t: float, q_var: float) -> Tuple[np.ndarray, np.ndarray]:
+    """States and covariances of tracks predicted to time t, one prediction
+    per distinct time step."""
+    dt = t - live.t
+    if (dt < 0).any():
+        i = int(np.argmax(dt < 0))
+        raise ContractViolationError(f"prediction time went backwards: {live.t[i]} -> {t}")
+    state, cov = live.state.copy(), live.covariance.copy()
+    # with return_inverse, np.unique does not import numpy.ma (about 0.5 MB)
+    steps, step_of = np.unique(dt, return_inverse=True)
+    for i, d in enumerate(steps.tolist()):
+        rows = step_of == i
+        state[rows], cov[rows] = _predicted(state[rows], cov[rows], d, q_var)
+    return state, cov
 
 
 class Tracker:
-    """Stateful wrapper around the functional tracking cycle."""
+    """Multi-target tracker whose live tracks are the rows of one TrackTable,
+    `live`, in ascending id order.
+
+    `_next_id` is the id the next new track takes.  `tracks` lists the live
+    tracks and then those that died in the latest observe.  An observe
+    writes only into arrays that it made, never into those of an earlier
+    table, so Track objects built from one stay as they were.
+    """
 
     def __init__(self, params: Optional[TrackerParams] = None):
         self.params = params or TrackerParams()
-        self.tracks: List[Track] = []
+        self.live = self._died = self._none = _spawned(Measurements.of([]), 0, self.params.r_var)
         self._next_id = 0
         self._last_t: Optional[float] = None
 
-    def observe(self, t: float, measurements: List[Measurement]) -> List[Track]:
-        """Feed the centroids of one packet; returns live tracks."""
+    def observe(self, t: float, measurements: Union[Sequence[Measurement], Measurements]) -> None:
+        """One cycle at time t over the centroids of one packet: predict,
+        associate, update, lifecycle, spawn.
+
+        Hits count the current run of consecutive associations; a miss
+        resets the run.  A failed prediction or update raises before any
+        state changes.
+        """
         if self._last_t is not None and t < self._last_t:
             raise ContractViolationError(f"tracker time went backwards: {self._last_t} -> {t}")
+        ms = measurements if isinstance(measurements, Measurements) else Measurements.of(measurements)
+        params, live = self.params, self.live
+        state, cov = _advanced(live, t, params.q_var)
+        pairs = _pairs(state[:, :2], live.track_id, ms, params.gate)
+        ti, mi = np.array(pairs, dtype=int).reshape(-1, 2).T
+        if len(ti):
+            state[ti], cov[ti] = _updated(state[ti], cov[ti], ms.position[mi], params.r_var)
+        hit = np.zeros(len(live), dtype=bool)
+        hit[ti] = True
+        hits = np.where(hit, np.where(live.misses == 0, live.hits + 1, 1), live.hits)
+        misses = np.where(hit, 0, live.misses + 1)
+        now = TrackTable(
+            live.track_id, state, cov, np.full(len(live), t, dtype=float), hits, misses,
+            live.confirmed | (hit & (hits >= params.confirm_hits)),
+            live.last_cluster_id.copy(), live.measured_t.copy(), live.last_measurement.copy(),
+        )
+        now.last_cluster_id[ti] = ms.cluster_id[mi]
+        now.measured_t[ti] = ms.t[mi]
+        now.last_measurement[ti] = ms.position[mi]
+        dead = misses >= params.max_misses
+        if dead.any():
+            self._died, now = now[dead], now[~dead]
+        else:
+            self._died = self._none
+        if len(mi) < len(ms):
+            unmatched = np.ones(len(ms), dtype=bool)
+            unmatched[mi] = False
+            born = _spawned(ms[unmatched], self._next_id, params.r_var)
+            now = TrackTable.concat(now, born)
+            self._next_id += len(born)
+        self.live = now
         self._last_t = t
-        self.tracks, self._next_id = step(self.tracks, measurements, t, self.params, self._next_id)
-        return self.live_tracks()
 
     def live_tracks(self) -> List[Track]:
-        return [tr for tr in self.tracks if tr.status is not TrackStatus.DEAD]
+        return self.live.tracks()
+
+    @property
+    def tracks(self) -> List[Track]:
+        return self.live.tracks() + self._died.tracks(dead=True)
 
     def confirmed_tracks(self) -> List[Track]:
-        return [tr for tr in self.tracks if tr.status is TrackStatus.CONFIRMED]
+        return [tr for tr in self.live_tracks() if tr.status is TrackStatus.CONFIRMED]

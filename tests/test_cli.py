@@ -224,6 +224,20 @@ def test_exit_code_bytes_that_are_not_utf8(tmp_path, capsys):
     assert f"{labeled}:2: not valid UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("times", [[0.0, 1e-3, 2e-3, 1e100, 1e200, 1e300], [0.0, 1e103], [0.0, 1e-3, 2e-3, 2e102]])
+def test_exit_code_tracker_overflow(tmp_path, capsys, times):
+    # one packet per time, one cluster of two events in each.  The last gap
+    # overflows the process noise: dt ** 3 itself in the first two files,
+    # its product with q_var in the third, which used to write NaN rows.
+    lab = tmp_path / "lab.csv"
+    lab.write_text("t,x,y,p,packet_id,cluster_id\n"
+                   + "".join(f"{t!r},{10 + k},12,1,{i},0\n" for i, t in enumerate(times) for k in (0, 1)))
+    out = tmp_path / "tracks.csv"
+    assert main(["track", "--in", str(lab), "--out", str(out)]) == 7
+    assert "is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_scene_directory(tmp_path, capsys):
     assert main(["synth", "--scene", str(tmp_path), "--out", str(tmp_path / "o.txt")]) == 3
     assert f"file not found: {tmp_path}" in capsys.readouterr().err

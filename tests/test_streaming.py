@@ -14,6 +14,7 @@ import textwrap
 
 import numpy as np
 import pytest
+import tracking_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -213,6 +214,43 @@ def test_mid_file_comment_gives_the_bytes_of_the_plain_file(tmp_path, small_chun
         assert outcome([command, "--in", str(commented), *args]) == want
 
 
+@st.composite
+def labeled_packets(draw):
+    """Labeled rows of a few packets, some of them all NOISE, each packet's
+    times after those of every lower packet id; on a coin flip the packets
+    come in shuffled file order."""
+    parts = []
+    for pid in sorted(draw(st.sets(st.integers(0, 30), min_size=1, max_size=8))):
+        n = draw(st.integers(1, 12))
+        steps, x, y, cid = (np.array(draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n)))
+                            for lo, hi in ((0, 9), (0, 30), (0, 20), (-1, 2)))
+        parts.append(LabeledEvents(0.01 * pid + 1e-3 * np.sort(steps), x, y, y % 2, np.full(n, pid), cid))
+    if draw(st.booleans()):
+        parts = draw(st.permutations(parts))
+    return LabeledEvents.concat(parts)
+
+
+def row_bits(rows):
+    """Track rows with every float as its bits."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r)) for r in rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=labeled_packets(), chunk_rows=st.sampled_from([1, 2, 3, 5, 8192]))
+def test_tracks_from_chunk_sums_equal_the_per_packet_loop(tmp_path_factory, rows, chunk_rows):
+    want_rows, _ = tracking_oracle.track_labelings(rows, TrackerParams())
+    assert row_bits(track_labelings(rows, TrackerParams())[0]) == row_bits(want_rows)
+    d = tmp_path_factory.mktemp("labels")
+    lab, tracks, want = (str(d / name) for name in ("lab.csv", "tracks.csv", "want.csv"))
+    write_labeled_events(lab, rows)
+    write_tracks(want, want_rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_CHUNK_ROWS", chunk_rows)
+        rc, out, _, got = outcome(["track", "--in", lab, "--out", tracks])
+    assert rc == 0 and out.startswith(f"packets = {len(np.unique(rows.packet_id))}\n")
+    assert got == open(want, "rb").read()
+
+
 def test_decreasing_packet_ids_are_tracked_in_packet_order(tmp_path, small_chunks):
     lab, tracks, want = tmp_path / "lab.csv", tmp_path / "tracks.csv", tmp_path / "want.csv"
     packet_id = np.repeat([0, 2, 1, 3], 8)
@@ -244,6 +282,9 @@ def test_an_empty_labeled_file_fails_before_the_output_is_opened(tmp_path, small
     lab = tmp_path / "lab.csv"
     lab.write_text("t,x,y,p,packet_id,cluster_id\n")
     rc, _, err = run(["track", "--in", str(lab), "--out", str(tmp_path / "missing" / "tracks.csv")])
+    assert rc == 8 and "labeled event file is empty" in err
+    # ... and before the tracker parameters are checked
+    rc, _, err = run(["track", "--in", str(lab), "--out", str(tmp_path / "tracks.csv"), "--gate", "0"])
     assert rc == 8 and "labeled event file is empty" in err
 
 
@@ -366,19 +407,23 @@ def test_a_comment_clusters_each_packet_once(tmp_path, monkeypatch, clustered, c
 
 # --- memory ------------------------------------------------------------------
 
+# VmHWM (Linux) is the peak RSS of the command's own process; ru_maxrss
+# would also count what the forked child shared with the test process
+# before its exec, which hides any peak below the test process's size.
 MEASURE = textwrap.dedent("""
-    import contextlib, io, resource, sys
+    import contextlib, io, sys
     from evshift.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(sys.argv[1:]) == 0
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
 """)
 
 
 @pytest.fixture(scope="module")
 def repeated_reference(tmp_path_factory):
     """The reference events and their generator labels, repeated 1x and 4x
-    with shifted times: {repeats: (events path, labeled path)}."""
+    with shifted times: {repeats: (events path, labeled path, labeled path
+    with every row in packet 0)}."""
     gen = generate(build_scene("reference"))
     s = gen.events
     span = float(s.t[-1]) + 0.01
@@ -387,19 +432,22 @@ def repeated_reference(tmp_path_factory):
     for k in (1, 4):
         t = np.concatenate([s.t + i * span for i in range(k)])
         x, y, p = (np.tile(c, k) for c in (s.x, s.y, s.p))
-        events, labeled = str(d / f"ev{k}.txt"), str(d / f"lab{k}.csv")
+        events, labeled, one_packet = (str(d / f"{name}{k}.{ext}") for name, ext in
+                                       (("ev", "txt"), ("lab", "csv"), ("one", "csv")))
         write_events(events, EventStream(t, x, y, p), gen.geometry)
         write_labeled_events(labeled, LabeledEvents(t, x, y, p, np.arange(len(t)) // 500, np.tile(gen.labels, k)))
-        paths[k] = events, labeled
+        write_labeled_events(one_packet, LabeledEvents(t, x, y, p, np.zeros(len(t), dtype=int), np.tile(gen.labels, k)))
+        paths[k] = events, labeled, one_packet
     return paths
 
 
-@pytest.mark.parametrize("command", ["filter", "cluster", "track"])
+@pytest.mark.parametrize("command", ["filter", "cluster", "track", "track one packet"])
 def test_peak_memory_does_not_grow_with_the_stream(tmp_path, repeated_reference, command):
     peaks = {}
-    for k, (events, labeled) in repeated_reference.items():
+    for k, (events, labeled, one_packet) in repeated_reference.items():
         extra = ["--max-iters", "2"] if command == "cluster" else []
-        argv = [command, "--in", labeled if command == "track" else events, "--out", str(tmp_path / "out"), *extra]
+        source = {"track": labeled, "track one packet": one_packet}.get(command, events)
+        argv = [command.split()[0], "--in", source, "--out", str(tmp_path / "out"), *extra]
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
         res = subprocess.run([sys.executable, "-c", MEASURE, *argv], env=env, capture_output=True, text=True,
                              check=True)

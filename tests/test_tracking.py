@@ -2,18 +2,23 @@
 
 The one-step reference numbers were produced independently with plain dense
 matrix operations (predict, gain, Joseph update) at full float64 precision
-and are frozen here as literals.
+and are frozen here as literals.  The stacked tracker is also checked bit
+for bit against the list-based one in tracking_oracle.py.
 """
 
 import math
 
 import numpy as np
 import pytest
+import tracking_oracle as oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evshift.errors import ContractViolationError
+from evshift.errors import ContractViolationError, NumericalError
 from evshift.tracking import (
     MEASUREMENT_MATRIX,
     Measurement,
+    Measurements,
     Track,
     TrackStatus,
     Tracker,
@@ -24,6 +29,7 @@ from evshift.tracking import (
     process_noise,
     transition_matrix,
     update,
+    _distances,
 )
 
 PARAMS = TrackerParams(gate=15.0, q_var=100.0, r_var=4.0, confirm_hits=3, max_misses=10)
@@ -202,9 +208,9 @@ def test_death_after_miss_limit_and_id_not_reused():
     tracker.observe(0.02, [])
     assert tracker.tracks[0].status is TrackStatus.DEAD
     assert tracker.live_tracks() == []
-    assert len(tracker.tracks) == 1  # dead track kept
+    assert len(tracker.tracks) == 1  # the track that died in the latest observe
     tracker.observe(0.03, [meas(0.03, 120, 90)])
-    assert [tr.track_id for tr in tracker.tracks] == [0, 1]
+    assert [tr.track_id for tr in tracker.tracks] == [1]
 
 
 def test_two_spawns_get_increasing_ids():
@@ -240,3 +246,100 @@ def test_param_validation():
             TrackerParams(r_var=bad)
     with pytest.raises(ContractViolationError):
         TrackerParams(confirm_hits=0)
+
+
+# --- the stacked tracker against the list-based one it replaced ------------
+
+def track_fields(tr):
+    """Every field of a track, floats as their bits."""
+    bits = lambda a: np.asarray(a, dtype=float).tobytes()
+    return (tr.track_id, tr.status, bits(tr.state), bits(tr.covariance), bits(tr.t), tr.hits, tr.misses,
+            tr.last_cluster_id, bits(tr.measured_t), bits(tr.last_measurement))
+
+
+@st.composite
+def packet_runs(draw):
+    """Tracker settings and a run of packets: (observe time, measurements).
+
+    Positions sit on a coarse grid and many steps are zero, so gate
+    distances tie; measurement times may lag the observe time, so tracks
+    born in one packet can step by different dt in the next."""
+    params = TrackerParams(
+        gate=draw(st.sampled_from([2.0, 5.0, 15.0])),
+        q_var=draw(st.sampled_from([0.0, 100.0])),
+        r_var=draw(st.sampled_from([1.0, 4.0])),
+        confirm_hits=draw(st.integers(1, 3)),
+        max_misses=draw(st.integers(1, 3)),
+    )
+    t, packets = 0.0, []
+    for _ in range(draw(st.integers(1, 25))):
+        t += draw(st.sampled_from([0.0, 0.0, 1e-3, 2.5e-3, 0.02]))
+        ms = [
+            Measurement(t=t - draw(st.sampled_from([0.0, 0.0, 5e-4])),
+                        position=np.array([draw(st.integers(0, 12)), draw(st.integers(0, 12))], dtype=float) * 1.5,
+                        cluster_id=draw(st.integers(0, 4)))
+            for _ in range(draw(st.integers(0, 5)))
+        ]
+        packets.append((t, ms))
+    return params, packets
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=packet_runs())
+def test_stacked_tracker_equals_the_list_based_one(run):
+    params, packets = run
+    new, old = Tracker(params), oracle.Tracker(params)
+    for t, ms in packets:
+        was_dead = {tr.track_id for tr in old.tracks if tr.status is TrackStatus.DEAD}
+        new.observe(t, ms)
+        old.observe(t, ms)
+        died = [tr for tr in old.tracks if tr.status is TrackStatus.DEAD and tr.track_id not in was_dead]
+        assert [track_fields(tr) for tr in new.tracks] == [track_fields(tr) for tr in old.live_tracks() + died]
+        assert new._next_id == old._next_id
+
+
+def test_columns_and_measurement_objects_give_the_same_tracks():
+    ms = [meas(0.0, 3, 4, cid=2), meas(0.0, 30, 40, cid=0)]
+    a, b = Tracker(PARAMS), Tracker(PARAMS)
+    for t in (0.0, 0.01, 0.02):
+        a.observe(t, [Measurement(t, m.position + 100 * t, m.cluster_id) for m in ms])
+        b.observe(t, Measurements(np.full(2, t), np.array([m.position + 100 * t for m in ms]), np.array([2, 0])))
+    assert [track_fields(tr) for tr in a.tracks] == [track_fields(tr) for tr in b.tracks]
+
+
+def test_stacked_distance_has_the_bits_of_norm():
+    # a sum of squares or hypot rounds differently on about one pair in ten
+    rng = np.random.default_rng(5)
+    for scale in (1.0, 240.0, 1e6):
+        a, b = rng.uniform(-scale, scale, (40, 2)), rng.uniform(-scale, scale, (30, 2))
+        want = [[np.linalg.norm(p - q) for q in b] for p in a]
+        assert _distances(a, b).tobytes() == np.array(want).tobytes()
+
+
+def test_tracker_keeps_only_live_rows_after_many_deaths():
+    params = TrackerParams(gate=5.0, confirm_hits=2, max_misses=2)
+    tracker = Tracker(params)
+    for k in range(200):
+        # a new target far from every earlier one, each seen twice and then lost
+        t = 0.01 * k
+        tracker.observe(t, [meas(t, 20 * (k // 2), 0)])
+    assert tracker._next_id == 100
+    assert len(tracker.live) == len(tracker.live_tracks()) <= 3
+    assert tracker.live.track_id.tolist() == sorted(tracker.live.track_id.tolist())
+    assert {tr.track_id for tr in tracker.tracks} <= set(range(96, 100))
+
+
+@pytest.mark.parametrize("gap", [1e103, math.inf])
+def test_overflowing_prediction_raises_before_any_state_changes(gap):
+    tracker = Tracker(PARAMS)
+    tracker.observe(0.0, [meas(0.0, 5, 5)])
+    tracker.observe(0.01, [meas(0.01, 6, 5)])
+    before = [track_fields(tr) for tr in tracker.tracks]
+    with pytest.raises(NumericalError):
+        tracker.observe(gap, [meas(gap, 7, 5)])
+    assert [track_fields(tr) for tr in tracker.tracks] == before
+    tracker.observe(0.02, [])  # the failed observe did not move the tracker's clock
+    track = make_track(0, meas(0.0, 5, 5), PARAMS)
+    with pytest.raises(NumericalError):
+        predict(track, gap, PARAMS)
+    assert track.t == 0.0
