@@ -28,7 +28,7 @@ NOISE = -1
 # stops where it is and is flagged as stalled.
 WEIGHT_FLOOR = 1e-290
 
-# Memory cap, in elements, for one (frontier modes x unlabeled modes) block
+# Memory cap, in elements, for one (frontier modes x candidate modes) block
 # of mode merging.  Mode seeking needs no cap: its memory is one
 # (_TILE, events) buffer, linear in packet size.
 _BLOCK_ELEMS = 4_000_000
@@ -166,34 +166,36 @@ def _squared_diff(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     out *= out
 
 
-def _lifted(seeds: np.ndarray, snapshot: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The two factors of the kernel exponent, lhs @ rhs = -||y - s||^2 / 2.
+def _lift(seeds: np.ndarray, snapshot: np.ndarray, h: float, lhs: np.ndarray, rhs: np.ndarray) -> None:
+    """Write the two factors of the kernel exponent, lhs @ rhs = -||y - s||^2 / 2.
 
     y and s are the seeds and the snapshot points, centred on the snapshot's
-    column mean and divided by h.  lhs has rows [y, -||y||^2 / 2, 1], padded
-    with zero rows to whole tiles; rhs is [s^T; 1; -||s||^2 / 2].
+    column mean and divided by h.  Rows [y, -||y||^2 / 2, 1] go into the
+    first len(seeds) rows of lhs, and the rows after them up to the next
+    whole tile are zeroed.  rhs gets [s^T; 1; -||s||^2 / 2], except row 4:
+    the caller fills it with ones once.
     """
-    centre = snapshot.mean(axis=0)
+    m = len(seeds)
+    centre = np.add.reduce(snapshot, axis=0) / len(snapshot)
     ys = (seeds - centre) / h
     ss = (snapshot - centre) / h
-    lhs = np.zeros((-(-len(ys) // _TILE) * _TILE, 6))
-    lhs[: len(ys), :4] = ys
-    lhs[: len(ys), 4] = -0.5 * np.einsum("ij,ij->i", ys, ys)
-    lhs[: len(ys), 5] = 1.0
-    rhs = np.empty((6, len(ss)))
+    lhs[:m, :4] = ys
+    lhs[:m, 4] = -0.5 * np.einsum("ij,ij->i", ys, ys)
+    lhs[:m, 5] = 1.0
+    lhs[m : -(-m // _TILE) * _TILE] = 0.0
     rhs[:4] = ss.T
-    rhs[4] = 1.0
     rhs[5] = -0.5 * np.einsum("ij,ij->i", ss, ss)
-    return lhs, rhs
 
 
-def _seek_tile(lhs: np.ndarray, rhs: np.ndarray, snapshot: np.ndarray, rows: int, w: np.ndarray):
+def _seek_tile(lhs: np.ndarray, rhs: np.ndarray, snapshot: np.ndarray, rows: int, w: np.ndarray,
+               sums: np.ndarray, total: np.ndarray) -> None:
     """Kernel-weighted snapshot sums for one tile of _TILE seeds.
 
     lhs holds the tile's lifted seeds [y, -||y||^2 / 2, 1], its rows past
     `rows` zero; rhs holds the lifted snapshot as [s^T; 1; -||s||^2 / 2];
-    w is a (_TILE, n) work buffer.  Returns the weighted sums w @ snapshot
-    and the total weights of the first `rows` seeds.
+    w is a (_TILE, n) work buffer.  Writes the weighted sums w @ snapshot
+    into the (_TILE, 4) `sums` and the total weights of the first `rows`
+    seeds into `total`.
     """
     np.matmul(lhs, rhs, out=w)
     real = w[:rows]
@@ -201,7 +203,8 @@ def _seek_tile(lhs: np.ndarray, rhs: np.ndarray, snapshot: np.ndarray, rows: int
     np.exp(real, out=real)
     # The product takes all _TILE rows, since with fewer OpenBLAS would
     # round a row differently; the padding rows' exponents are 0.
-    return (w @ snapshot)[:rows], real.sum(axis=1)
+    np.matmul(w, snapshot, out=sums)
+    np.add.reduce(real, axis=1, out=total)
 
 
 def seek_modes(packet: Packet, params: MeanShiftParams, step_hook: Optional[StepHook] = None) -> ModeSeekResult:
@@ -220,8 +223,14 @@ def seek_modes(packet: Packet, params: MeanShiftParams, step_hook: Optional[Step
     few ulp of the direct difference.  An exponent that rounds above 0 is
     clamped to 0 before exp.  Active seeds go in tiles of exactly _TILE
     rows, the last padded with zero rows, so a seed's step does not depend
-    on which other seeds are still active, and memory is one (_TILE, n)
-    buffer.
+    on which other seeds are still active.
+
+    Every buffer lives for the whole packet and is allocated once: the
+    (n, 4) snapshot, whose polarity and age columns are updated in place
+    at the seeds that moved; the lifted factors, lhs of n rows padded to
+    whole tiles and rhs of n columns; the (_TILE, n) kernel-weight tile;
+    and the weighted sums and total weights of all seeds.  The active seeds
+    are an index array that only shrinks.
 
     step_hook, when given, is called once per iteration with
     (y_before, y_after, snapshot, active_indices); it exists for diagnostic
@@ -231,34 +240,41 @@ def seek_modes(packet: Packet, params: MeanShiftParams, step_hook: Optional[Step
     n = len(f0)
     h = params.bandwidth_h
     y = f0.copy()
+    snapshot = f0.copy()
     iterations = np.zeros(n, dtype=int)
     stalled = np.zeros(n, dtype=bool)
-    active = np.ones(n, dtype=bool)
+    idx = np.arange(n)
     ops = 0
+    padded = -(-n // _TILE) * _TILE
+    lhs = np.zeros((padded, 6))
+    rhs = np.empty((6, n))
+    rhs[4] = 1.0
     w = np.empty((_TILE, n))
+    sums = np.empty((padded, 4))
+    total = np.empty(n)
     for _ in range(params.max_iters):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        m = idx.size
+        if m == 0:
             break
-        snapshot = np.concatenate([f0[:, :2], y[:, 2:]], axis=1)
-        lhs, rhs = _lifted(y[idx], snapshot, h)
-        sums = np.empty((idx.size, 4))
-        total = np.empty(idx.size)
-        for s in range(0, idx.size, _TILE):
-            rows = min(_TILE, idx.size - s)
-            sums[s : s + rows], total[s : s + rows] = _seek_tile(lhs[s : s + _TILE], rhs, snapshot, rows, w)
-        under = total < WEIGHT_FLOOR
-        new_y = sums / np.where(under, 1.0, total)[:, None]
-        new_y[under] = y[idx[under]]
-        ops += idx.size * n
+        before = y[idx]
+        _lift(before, snapshot, h, lhs, rhs)
+        for s in range(0, m, _TILE):
+            rows = min(_TILE, m - s)
+            _seek_tile(lhs[s : s + _TILE], rhs, snapshot, rows, w, sums[s : s + _TILE], total[s : s + rows])
+        under = total[:m] < WEIGHT_FLOOR
+        new_y = sums[:m] / np.where(under, 1.0, total[:m])[:, None]
+        new_y[under] = before[under]
+        ops += m * n
         iterations[idx] += 1
         if step_hook is not None:
-            step_hook(y[idx].copy(), new_y.copy(), snapshot.copy(), idx.copy())
-        shift = np.linalg.norm(new_y - y[idx], axis=1)
+            step_hook(before.copy(), new_y.copy(), snapshot.copy(), idx.copy())
+        # np.linalg.norm(new_y - before, axis=1), without its Python wrapper
+        step = new_y - before
+        shift = np.sqrt(np.add.reduce(step * step, axis=1))
         y[idx] = new_y
+        snapshot[idx, 2:] = new_y[:, 2:]
         stalled[idx[under]] = True
-        done = under | (shift < params.epsilon)
-        active[idx[done]] = False
+        idx = idx[~(under | (shift < params.epsilon))]
     return ModeSeekResult(modes=y, iterations=iterations, ops_count=ops, stalled=stalled)
 
 
@@ -273,37 +289,64 @@ def merge_modes(modes: np.ndarray, merge_radius: float) -> np.ndarray:
     round measures the frontier against the still unlabeled modes, and
     the modes it reaches form the next frontier.  Starting each flood at
     the lowest unlabeled index numbers components by first occurrence.
-    Frontier rows go in blocks of at most _BLOCK_ELEMS pairs, so memory
-    stays bounded whatever the number of modes.
+
+    A round measures only the candidates inside the frontier's box: the
+    unlabeled modes whose coordinates 0 and 1 each lie within
+    2 * merge_radius of the frontier's range in that coordinate.  The box
+    drops no pair that could merge.  A pair's squared distance is a sum of
+    non-negative terms added in turn, and rounded addition is monotone, so
+    it is never below the rounded square of its difference in coordinate 0
+    or 1.  Outside the box that difference is more than 2 * merge_radius,
+    so the sum is at least merge_radius ** 2 and fails the strict `<` test.
+    The range is taken with fmin and fmax, so a NaN coordinate (whose
+    distances are all NaN and never merge) neither widens nor empties the
+    box.  Frontier rows go in blocks of at most _BLOCK_ELEMS pairs, and the
+    block buffers grow only to the largest block used, so memory stays
+    bounded whatever the number of modes.
     """
     n = len(modes)
     thr2 = merge_radius * merge_radius
+    reach = 2 * merge_radius
     columns = np.ascontiguousarray(np.asarray(modes, dtype=float).T)
     out = np.empty(n, dtype=int)
-    # a block holds at most _BLOCK_ELEMS pairs, or one frontier row
-    d2_buf, tmp_buf = (np.empty(min(max(_BLOCK_ELEMS, n), n * n)) for _ in range(2))
+    # a block's d2 in buf[:size], the term being added to it in buf[size:]
+    buf = np.empty(0)
     rest = np.arange(n)
     comp = 0
     while rest.size:
         frontier, rest = rest[:1], rest[1:]
         out[frontier] = comp
         while frontier.size and rest.size:
-            rest_cols = columns[:, rest]
-            hit = np.zeros(rest.size, dtype=bool)
-            block = max(1, _BLOCK_ELEMS // rest.size)
+            near = np.ones(rest.size, dtype=bool)
+            for col in columns[:2]:
+                front, cand = col[frontier], col[rest]
+                near &= (cand >= np.fmin.reduce(front) - reach) & (cand <= np.fmax.reduce(front) + reach)
+            near = np.flatnonzero(near)
+            if near.size == 0:
+                break
+            cand_cols = columns[:, rest[near]]
+            hit = np.zeros(near.size, dtype=bool)
+            block = max(1, _BLOCK_ELEMS // near.size)
+            size = min(block, frontier.size) * near.size
+            if 2 * size > buf.size:
+                # free the old buffer, views included, before making the new one
+                buf = d2 = tmp = None
+                buf = np.empty(2 * size)
             for s in range(0, frontier.size, block):
                 front_cols = columns[:, frontier[s : s + block]]
-                shape = (front_cols.shape[1], rest.size)
-                d2 = d2_buf[: shape[0] * shape[1]].reshape(shape)
-                tmp = tmp_buf[: shape[0] * shape[1]].reshape(shape)
+                shape = (front_cols.shape[1], near.size)
+                d2 = buf[: shape[0] * shape[1]].reshape(shape)
+                tmp = buf[size : size + shape[0] * shape[1]].reshape(shape)
                 # dimensions summed in turn: the bits np.sum over the last
                 # axis gives, so each `< thr2` decision stays as it was
-                _squared_diff(front_cols[0], rest_cols[0], d2)
+                _squared_diff(front_cols[0], cand_cols[0], d2)
                 for k in range(1, len(columns)):
-                    _squared_diff(front_cols[k], rest_cols[k], tmp)
+                    _squared_diff(front_cols[k], cand_cols[k], tmp)
                     d2 += tmp
                 hit |= (d2 < thr2).any(axis=0)
-            frontier, rest = rest[hit], rest[~hit]
+            taken = near[hit]
+            frontier = rest[taken]
+            rest = np.delete(rest, taken)
             out[frontier] = comp
         comp += 1
     return out

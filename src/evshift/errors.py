@@ -19,11 +19,21 @@ class ContractViolationError(EvshiftError):
 
 
 def require_finite(params) -> None:
-    """Raise ContractViolationError if a float field of a dataclass is inf or nan."""
+    """Raise ContractViolationError if a float field of a dataclass, or a
+    float anywhere inside a tuple field, is inf or nan."""
     for f in dataclasses.fields(params):
-        value = getattr(params, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ContractViolationError(f"{f.name} must be finite, got {value}")
+        for value in _floats(getattr(params, f.name)):
+            if not math.isfinite(value):
+                raise ContractViolationError(f"{f.name} must be finite, got {value}")
+
+
+def _floats(value):
+    """The floats of a value and of the tuples nested in it."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _floats(v)
 
 
 class OutOfBoundsError(ContractViolationError):

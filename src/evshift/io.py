@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import os
 import tempfile
 import warnings
@@ -93,13 +94,27 @@ def read_lines(path: str) -> List[str]:
     return lines
 
 
-_BULK_DTYPE = {float: "f8", int: "i8", str: object}
+class _NotFinite(ValueError):
+    """A value that a `finite` column refuses: NaN or an infinity."""
+
+
+def finite(text: str) -> float:
+    """The column kind of a float that must be finite: float(text), and
+    _NotFinite for NaN and the infinities."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise _NotFinite(text)
+    return v
+
+
+_BULK_DTYPE = {float: "f8", finite: "f8", int: "i8", str: object}
 
 
 def _bulk_columns(lines: List[str], columns: Columns, delimiter: Optional[str]) -> Optional[List[np.ndarray]]:
     """Text `lines` as one array per column of `columns`, parsed in one
     np.loadtxt call split on `delimiter` (None: runs of whitespace), or None
-    where loadtxt raises or warns (lines that are all blank warn).
+    where loadtxt raises or warns (lines that are all blank warn) or a
+    `finite` column holds NaN or an infinity.
     loadtxt's comment and quote handling are off: a `#` or a quote makes a
     value it rejects, or, in a str column, part of the value.
     """
@@ -110,6 +125,8 @@ def _bulk_columns(lines: List[str], columns: Columns, delimiter: Optional[str]) 
             warnings.simplefilter("error")
             table = np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, quotechar=None, ndmin=1)
     except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
+    if any(kind is finite and not np.isfinite(table[name]).all() for name, kind in columns):
         return None
     return [table[name].astype(str) if kind is str else table[name].copy() for name, kind in columns]
 
@@ -283,8 +300,8 @@ def _read_events_per_line(path: str, geom: Optional[SensorGeometry] = None) -> T
 
 
 # A CSV format: its (column name, kind) pairs in file order, kind being
-# float, int or str.  The header is the names joined by commas.
-Columns = Tuple[Tuple[str, type], ...]
+# float, finite, int or str.  The header is the names joined by commas.
+Columns = Tuple[Tuple[str, Callable[[str], object]], ...]
 
 
 def _names(columns: Columns) -> List[str]:
@@ -293,7 +310,9 @@ def _names(columns: Columns) -> List[str]:
 
 EVENT_COLUMNS: Columns = (("t", float), ("x", int), ("y", int), ("p", int))
 
-LABELED_COLUMNS: Columns = EVENT_COLUMNS + (("packet_id", int), ("cluster_id", int))
+# A labeled row's t feeds the tracker's time steps, so NaN and the
+# infinities are refused where the file is read.
+LABELED_COLUMNS: Columns = (("t", finite), ("x", int), ("y", int), ("p", int), ("packet_id", int), ("cluster_id", int))
 LABELED_HEADER = _names(LABELED_COLUMNS)
 
 
@@ -409,7 +428,7 @@ def read_centers(path: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, obj, np.stack([cx, cy], axis=1)
 
 
-_DTYPE = {float: np.float64, int: np.int64}
+_DTYPE = {float: np.float64, finite: np.float64, int: np.int64}
 
 
 def _parse(kind: type, values: List[str]) -> np.ndarray:
@@ -531,12 +550,13 @@ def _csv_columns(path: str, columns: Columns, rows: List[List[str]], line_nos: n
                 try:
                     _parse(kind, [v])
                 except (ValueError, OverflowError) as exc:
-                    raise ParseError(path, int(line_nos[i]), f"{name} must be {kind.__name__}, got {v!r}") from exc
+                    rule = "finite" if isinstance(exc, _NotFinite) else "float" if kind is finite else kind.__name__
+                    raise ParseError(path, int(line_nos[i]), f"{name} must be {rule}, got {v!r}") from exc
     return out
 
 
 # printf-style, which formats a row of reprs faster than str.format's "{!r}"
-_FORMAT = {float: "%r", int: "%d", str: "%s"}
+_FORMAT = {float: "%r", finite: "%r", int: "%d", str: "%s"}
 
 
 def _values(kind: type, col) -> list:

@@ -29,7 +29,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import ContractViolationError, ParseError
+from .errors import ContractViolationError, ParseError, require_finite
 from .events import EventStream, SensorGeometry
 from .io import atomic_write_text, read_lines
 
@@ -60,6 +60,7 @@ class Keyframes:
     scale: Tuple[float, ...] = ()
 
     def __post_init__(self):
+        require_finite(self)
         n = len(self.t)
         if n < 1:
             raise ContractViolationError("trajectory needs at least one keyframe")
@@ -107,6 +108,7 @@ class ShapeSpec:
     polarity: object = "motion"
 
     def __post_init__(self):
+        require_finite(self)
         if len(self.vertices) < 3:
             raise ContractViolationError("polygon needs at least 3 vertices")
         if self.polarity not in ("motion", 0, 1):
@@ -128,6 +130,7 @@ class SceneSpec:
     centers_stride: float = 1e-3
 
     def __post_init__(self):
+        require_finite(self)
         if self.width < 1 or self.height < 1:
             raise ContractViolationError("sensor must be at least 1x1")
         if not (self.duration > 0):
@@ -430,7 +433,7 @@ def scene_from_dict(d: dict) -> SceneSpec:
             dt=float(d.get("dt", 1e-4)),
             centers_stride=float(d.get("centers_stride", 1e-3)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ContractViolationError(f"bad scene description: {exc}") from exc
 
 

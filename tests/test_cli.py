@@ -1,6 +1,7 @@
 """Command flows exercised through main() on small generated files."""
 
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -252,6 +253,27 @@ def test_exit_code_config_directory(tmp_path, scene_path, capsys):
     assert not (tmp_path / "o.txt").exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    # "duration": Infinity made synth exit 1 with an OverflowError traceback
+    (lambda d: d.update(duration=math.inf), "duration must be finite, got inf"),
+    # "noise_rate": NaN exited 0 and rendered no noise
+    (lambda d: d.update(noise_rate=math.nan), "noise_rate must be finite, got nan"),
+    (lambda d: d.update(width=math.inf), "bad scene description"),
+    (lambda d: d["shapes"][0]["vertices"][2].__setitem__(1, -math.inf), "vertices must be finite, got -inf"),
+    (lambda d: d["shapes"][1]["keys"]["t"].__setitem__(1, math.nan), "t must be finite, got nan"),
+])
+def test_exit_code_scene_value_not_finite(tmp_path, capsys, scene_path, edit, message):
+    with open(scene_path) as fh:
+        d = json.load(fh)
+    edit(d)
+    scene = tmp_path / "bad.json"
+    scene.write_text(json.dumps(d))  # NaN and Infinity, as Python's json writes them
+    out = tmp_path / "o.txt"
+    assert main(["synth", "--scene", str(scene), "--out", str(out)]) == 4
+    assert f"{scene}:0: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_scene_not_utf8(tmp_path, capsys):
     scene = tmp_path / "scene.json"
     scene.write_bytes(b'{\n  "width": 10,\n  "name": "\xff"\n}\n')
@@ -295,6 +317,22 @@ def test_exit_code_non_integer_label(tmp_path, capsys):
         assert main(["track", "--in", str(bad), "--out", str(tmp_path / "tracks.csv")]) == 4
         assert f"{bad}:3: cluster_id" in capsys.readouterr().err
     assert not (tmp_path / "tracks.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_exit_code_non_finite_label_time(tmp_path, capsys, value):
+    # track used to exit 7 with a non-finite process noise, and
+    # eval-cluster 6, neither naming the line
+    lab = tmp_path / "lab.csv"
+    lab.write_text(f"t,x,y,p,packet_id,cluster_id\n0.1,1,2,0,0,0\n{value},1,2,0,0,0\n0.3,1,2,0,1,0\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_text("t,x,y,p,object_id\n0.1,1,2,0,0\n0.2,1,2,0,0\n0.3,1,2,0,0\n")
+    out = tmp_path / "tracks.csv"
+    assert main(["track", "--in", str(lab), "--out", str(out)]) == 4
+    assert f"{lab}:3: t must be finite, got '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["eval-cluster", "--pred", str(lab), "--truth", str(truth)]) == 4
+    assert f"{lab}:3: t must be finite, got '{value}'" in capsys.readouterr().err
 
 
 def test_exit_code_stream_order(tmp_path, capsys):

@@ -3,10 +3,12 @@
 The reference values below were produced by an independent brute-force hill
 climb: kernel density summed over original features, maximized on a uniform
 (fx, fy) grid of resolution 5e-4 with polarity and decayed age pinned at 1.
-They are frozen here as plain numbers.
+They are frozen here as plain numbers.  The kernels are also checked bit
+for bit against the ones they replaced, in clustering_oracle.py.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,9 +17,9 @@ from hypothesis import strategies as st
 
 from evshift import clustering
 from evshift.clustering import (
+    MIN_BANDWIDTH,
     NOISE,
     MeanShiftParams,
-    ModeSeekResult,
     WEIGHT_FLOOR,
     _step_point,
     cluster_centroids,
@@ -29,6 +31,8 @@ from evshift.clustering import (
 )
 from evshift.errors import ContractViolationError
 from evshift.events import DecayParams, Event, SensorGeometry, make_packet
+import clustering_oracle
+from clustering_oracle import merge_modes_union_find, seek_modes_einsum
 
 GEOM = SensorGeometry(81, 81)
 BLOB_A = [(18, 19), (20, 20), (21, 18), (19, 22), (22, 21), (20, 17)]
@@ -187,59 +191,6 @@ def test_merge_modes_numbers_by_first_occurrence():
     assert merge_modes(modes, 0.05).tolist() == [0, 1, 0]
 
 
-def merge_modes_union_find(modes, merge_radius):
-    """Reference merge: the full (n, n, 4) distance array, a union-find over
-    every close pair, then renumbering of the roots by first occurrence."""
-    n = len(modes)
-    parent = np.arange(n)
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    d2 = np.sum((modes[:, None, :] - modes[None, :, :]) ** 2, axis=-1)
-    ii, jj = np.nonzero(np.triu(d2 < merge_radius * merge_radius, k=1))
-    for a, b in zip(ii, jj):
-        ra, rb = root(int(a)), root(int(b))
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    ids = {}
-    return np.array([ids.setdefault(root(i), len(ids)) for i in range(n)], dtype=int)
-
-
-def seek_modes_einsum(packet, params):
-    """Reference mode seeking: all active seeds in one block, distances
-    through an (active, n, 4) difference array and einsum."""
-    f0 = packet.feature_array()
-    n = len(f0)
-    h = params.bandwidth_h
-    y = f0.copy()
-    iterations = np.zeros(n, dtype=int)
-    stalled = np.zeros(n, dtype=bool)
-    active = np.ones(n, dtype=bool)
-    ops = 0
-    for _ in range(params.max_iters):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        snapshot = np.concatenate([f0[:, :2], y[:, 2:]], axis=1)
-        diff = (y[idx, None, :] - snapshot[None, :, :]) / h
-        w = np.exp(-0.5 * np.einsum("ijk,ijk->ij", diff, diff))
-        total = w.sum(axis=1)
-        under = total < WEIGHT_FLOOR
-        new_y = (w @ snapshot) / np.where(under, 1.0, total)[:, None]
-        new_y[under] = y[idx][under]
-        ops += idx.size * n
-        iterations[idx] += 1
-        shift = np.linalg.norm(new_y - y[idx], axis=1)
-        y[idx] = new_y
-        stalled[idx[under]] = True
-        active[idx[under | (shift < params.epsilon)]] = False
-    return ModeSeekResult(modes=y, iterations=iterations, ops_count=ops, stalled=stalled)
-
-
 def random_packet(rng, n, geom, span):
     t = np.sort(rng.uniform(0.0, span, size=n))
     events = [
@@ -275,6 +226,66 @@ def test_merge_modes_matches_union_find_oracle(modes):
     assert np.array_equal(merge_modes(modes, 0.05), merge_modes_union_find(modes, 0.05))
 
 
+@st.composite
+def extreme_merge_cases(draw):
+    """Lattice modes in steps of r / 2 or 0.025, so pairs sit exactly at
+    the radius (two steps) and at the box edge 2r (four steps), with NaN and
+    infinite coordinates sprinkled in.  At 1e-300 the squared radius
+    underflows to 0, at 1e300 it overflows, and at 1e308 so does 2r."""
+    r = draw(st.sampled_from([0.05, 1e-300, 1e-160, 1e300, 1e308]))
+    step = draw(st.sampled_from([r / 2, 0.025]))
+    pts = draw(st.lists(st.tuples(*[st.integers(0, 8)] * 2, *[st.integers(0, 2)] * 2), max_size=40))
+    with np.errstate(over="ignore"):
+        modes = np.array(pts, dtype=float).reshape(-1, 4) * step
+    specials = st.tuples(st.integers(0, 39), st.integers(0, 3), st.sampled_from([np.nan, np.inf, -np.inf]))
+    for i, k, v in draw(st.lists(specials, max_size=4)):
+        if i < len(modes):
+            modes[i, k] = v
+    return modes, r
+
+
+@settings(max_examples=400, deadline=None)
+@given(extreme_merge_cases())
+def test_box_pruned_merge_matches_both_oracles(case):
+    modes, r = case
+    with np.errstate(all="ignore"):
+        got = merge_modes(modes, r)
+        assert np.array_equal(got, clustering_oracle.merge_modes(modes, r))
+        assert np.array_equal(got, merge_modes_union_find(modes, r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "blob"]),
+    n=st.sampled_from([1, 63, 64, 65, 129]),
+    seed=st.integers(0, 2**32 - 1),
+    # below MIN_BANDWIDTH lone seeds stall; MeanShiftParams refuses such
+    # a bandwidth, so the kernels get the three fields they read
+    h=st.sampled_from([1e-10, 1e-9, MIN_BANDWIDTH, 1e-3, 0.1, 0.3]),
+    max_iters=st.sampled_from([1, 4, 100]),
+)
+def test_seek_modes_matches_the_per_iteration_oracle_bit_for_bit(kind, n, seed, h, max_iters):
+    rng = np.random.default_rng(seed)
+    geom = SensorGeometry(96, 64)
+    if kind == "random":
+        pkt = random_packet(rng, n, geom, 0.01)
+    else:
+        n_blobs = 1 if n < 4 else 3
+        per_blob = max(1, n // (n_blobs + 1))
+        pkt = blob_packet(rng, n_blobs, per_blob, n - n_blobs * per_blob, geom)
+    params = SimpleNamespace(bandwidth_h=h, epsilon=PARAMS.epsilon, max_iters=max_iters)
+    got_steps, want_steps = [], []
+    got = seek_modes(pkt, params, step_hook=lambda *a: got_steps.append(a))
+    want = clustering_oracle.seek_modes(pkt, params, step_hook=lambda *a: want_steps.append(a))
+    assert np.array_equal(got.modes, want.modes)
+    assert np.array_equal(got.iterations, want.iterations)
+    assert np.array_equal(got.stalled, want.stalled)
+    assert got.ops_count == want.ops_count
+    assert len(got_steps) == len(want_steps)
+    for g, w in zip(got_steps, want_steps):
+        assert all(np.array_equal(a, b) for a, b in zip(g, w))
+
+
 def test_seek_modes_matches_einsum_oracle():
     rng = np.random.default_rng(17)
     geom = SensorGeometry(64, 48)
@@ -306,20 +317,24 @@ def test_seek_tile_row_does_not_depend_on_its_tile(n):
     tile = clustering._TILE
     rng = np.random.default_rng(41 + n)
     snapshot = rng.uniform(0.0, 1.0, size=(n, 4))
-    seeds, rhs = clustering._lifted(rng.uniform(0.0, 1.0, size=(tile + 3, 4)), snapshot, PARAMS.bandwidth_h)
+    points = rng.uniform(0.0, 1.0, size=(tile + 3, 4))
+    seeds, rhs = np.zeros((2 * tile, 6)), np.ones((6, n))
+    clustering._lift(points, snapshot, PARAMS.bandwidth_h, seeds, rhs)
     seeds = seeds[: tile + 3]
     w = np.empty((tile, n))
+    sums, total = np.empty((tile, 4)), np.empty(1)
+    got_sums, got_total = np.empty((tile, 4)), np.empty(tile)
     for i in range(0, len(seeds), 7):
         alone = np.zeros((tile, 6))
         alone[0] = seeds[i]
-        sums, total = clustering._seek_tile(alone, rhs, snapshot, 1, w)
+        clustering._seek_tile(alone, rhs, snapshot, 1, w, sums, total)
         for k in range(tile):
             others = seeds[np.arange(len(seeds)) != i][rng.permutation(len(seeds) - 1)[:tile]]
             others[k] = seeds[i]
             for rows in (k + 1, tile):
                 lhs = others.copy()
                 lhs[rows:] = 0.0
-                got_sums, got_total = clustering._seek_tile(lhs, rhs, snapshot, rows, w)
+                clustering._seek_tile(lhs, rhs, snapshot, rows, w, got_sums, got_total[:rows])
                 assert np.array_equal(got_sums[k], sums[0])
                 assert got_total[k] == total[0]
 

@@ -340,6 +340,23 @@ def test_int_columns_reject_non_integers(tmp_path, name):
         assert repr(bad) in str(info.value)
 
 
+@pytest.mark.parametrize("chunk_rows", [1, io._CHUNK_ROWS])
+@pytest.mark.parametrize("bad", ["nan", "-inf", "Infinity", "1e999"])
+def test_labeled_t_must_be_finite(tmp_path, monkeypatch, chunk_rows, bad):
+    # through the bulk chunk parse, its per-line rerun, and the per-line
+    # reader that a file with a stray header goes to at once
+    monkeypatch.setattr(io, "_CHUNK_ROWS", chunk_rows)
+    rows = f"0.1,1,2,0,0,0\n\n{bad},1,2,0,0,0\n0.3,1,2,0,1,0\n"
+    for header in ("t,x,y,p,packet_id,cluster_id\n", '"t",x,y,p,packet_id,cluster_id\n'):
+        path = tmp_path / "lab.csv"
+        path.write_text(header + rows)
+        for read in (read_labeled_events, lambda p: list(io.labeled_chunks(p))):
+            with pytest.raises(ParseError) as info:
+                read(str(path))
+            assert info.value.line_no == 4
+            assert repr(bad) in str(info.value)
+
+
 def _ints():
     # Small and negative ids, and ints beyond 2**53 that float64 cannot hold.
     return st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1), st.just(2**53 + 1))
@@ -386,6 +403,8 @@ def _read_centers(path):
 STRATEGIES = {float: _floats(), int: _ints(), str: st.sampled_from(["tentative", "confirmed", "dead"])}
 # Event rejects a negative or non-finite timestamp; -0.0 passes that check.
 EVENT_TIMES = st.one_of(st.floats(0, allow_infinity=False), st.just(-0.0))
+# The labeled reader refuses a t that is NaN or infinite.
+FIRST_COLUMN = {"truth": EVENT_TIMES, "labeled": st.floats(allow_nan=False, allow_infinity=False)}
 # name -> (column kinds, writer from columns, reader to columns)
 FORMATS = {
     "labeled": ((float, int, int, int, int, int), _write_labeled, _read_labeled),
@@ -400,7 +419,7 @@ FORMATS = {
 @given(data=st.data())
 def test_csv_round_trip_is_exact(tmp_path_factory, name, data):
     kinds, write, read = FORMATS[name]
-    strategies = [EVENT_TIMES if (name, i) == ("truth", 0) else STRATEGIES[k] for i, k in enumerate(kinds)]
+    strategies = [FIRST_COLUMN[name] if i == 0 and name in FIRST_COLUMN else STRATEGIES[k] for i, k in enumerate(kinds)]
     n = data.draw(st.integers(0, 6))
     cols = [data.draw(st.lists(s, min_size=n, max_size=n)) for s in strategies]
     directory = tmp_path_factory.mktemp(name)
@@ -492,7 +511,8 @@ def test_a_directory_is_not_an_input_file(tmp_path):
 # Rows the writers emitted before they wrote in chunks: the oracle for the
 # chunked writer.
 def one_pass_text(columns, data, header=None, sep=","):
-    text = [col if kind is str else map({float: repr, int: str}[kind], map(kind, col)) for (_, kind), col in zip(columns, data)]
+    text = [col if kind is str else map({float: repr, io.finite: repr, int: str}[kind], map(kind, col))
+            for (_, kind), col in zip(columns, data)]
     lines = [",".join(name for name, _ in columns) if header is None else header, *map(sep.join, zip(*text))]
     return "\n".join(lines) + "\n"
 
@@ -667,6 +687,7 @@ def test_csv_reader_equals_per_line_reader(tmp_path_factory, name, data, chunk_r
     kinds = [kind for _, kind in columns]
     plain = {float: ["0.5", "-0.0", "1e-300", "nan", "inf", repr(0.1 + 0.2)], int: ["0", "-7", "12"],
              str: ["confirmed", "dead"]}
+    plain[io.finite] = plain[float]
     rows = [[data.draw(st.sampled_from(plain[k])) for k in kinds] for _ in range(data.draw(st.integers(0, 5)))]
     header = ",".join(io._names(columns))
     hard_headers = [header + " ", '"t"' + header[1:], header[:-1], header.upper(), "\ufeff" + header]

@@ -210,6 +210,13 @@ def test_scene_validation():
         SceneSpec(width=10, height=10, duration=1.0, shapes=(shape, shape))
     with pytest.raises(ContractViolationError):
         generate(SceneSpec(width=10, height=10, duration=1.0, shapes=()), speed_factor=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ContractViolationError, match="must be finite"):
+            SceneSpec(width=10, height=10, duration=1.0, shapes=(), dt=bad)
+        with pytest.raises(ContractViolationError, match="must be finite"):
+            ShapeSpec(shape_id=0, vertices=SQUARE[:2] + ((bad, 1.0),), keys=Keyframes(t=(0.0,), x=(0.0,), y=(0.0,)))
+        with pytest.raises(ContractViolationError, match="must be finite"):
+            Keyframes(t=(0.0, 1.0), x=(0.0, 1.0), y=(0.0, 1.0), scale=(1.0, bad))
 
 
 # --- Oracle: the plain renderer, with full position and velocity arrays for
