@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     StreamOrderError,
 )
-from .events import DecayParams, EventStream, SensorGeometry, feature_matrix, packetize
+from .events import DecayParams, EventStream, SensorGeometry, feature_matrix, packet_chunks
 from .filtering import filter_chunks
 from .io import (
     LABELED_COLUMNS,
@@ -51,7 +51,7 @@ from .io import (
     write_events,
     write_truth,
 )
-from .metrics import cluster_scores, kmeans_baseline, pair_counts, precision_recall_f, tracking_error
+from .metrics import cluster_scores, kmeans_baseline, pooled_pair_counts, precision_recall_f, tracking_error
 from .pipeline import PacketIdsGoBack, cluster_packets, in_packet_order, labeled_from_packets, track_chunks
 from .scenes import SCENE_BUILDERS, build_scene
 from .synth import generate, load_scene
@@ -151,29 +151,18 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     def body(chunks: Iterator[EventStream]) -> List[str]:
         params = cfg.pipeline_params()
-        size = params.packet_size
-        if size < 1:  # packetize's check, made before the output is opened
-            raise ContractViolationError(f"packet size must be >= 1, got {size}")
+        packets = packet_chunks(chunks, params.packet_size, geom, params.decay)  # checks the size now
         n_packets = n_clusters = kernel_evals = 0
 
-        def labeled(events: EventStream) -> Iterator[str]:
-            nonlocal n_packets, n_clusters, kernel_evals
-            packets = list(packetize(events, size, geom, params.decay))
-            labelings = cluster_packets(packets, params.ms_params)
-            yield from labeled_lines(labeled_from_packets(packets, labelings, first_id=n_packets))
-            n_packets += len(packets)
-            n_clusters += sum(lab.n_clusters for lab in labelings)
-            kernel_evals += sum(lab.ops_count for lab in labelings)
-
         def pieces():
+            nonlocal n_packets, n_clusters, kernel_evals
             yield csv_header(LABELED_COLUMNS)
-            carry = EventStream([], [], [], [])  # fewer than `size` events
-            for chunk in chunks:
-                events = EventStream.concat([carry, chunk])
-                full = len(events) - len(events) % size
-                yield from labeled(events[:full])
-                carry = events[full:]
-            yield from labeled(carry)  # the short packet, at the end of the stream
+            for packet in packets:
+                (lab,) = cluster_packets([packet], params.ms_params)
+                yield from labeled_lines(labeled_from_packets([packet], [lab], first_id=n_packets))
+                n_packets += 1
+                n_clusters += lab.n_clusters
+                kernel_evals += lab.ops_count
 
         atomic_write_text(args.out, pieces())
         return [f"packets = {n_packets}", f"clusters = {n_clusters}", f"kernel_evals = {kernel_evals}"]
@@ -247,10 +236,8 @@ def cmd_eval_cluster(args: argparse.Namespace) -> int:
     rows = read_labeled_events(args.pred)
     truth = _truth_labels_for(rows, read_truth(args.truth))
     f_scores, precisions, recalls, aris, nmis, km_scores = [], [], [], [], [], []
-    pooled_pred: List[np.ndarray] = []
-    pooled_truth: List[np.ndarray] = []
+    counts = []  # per scored packet: scored events and pair counts
     skipped = 0
-    offset = 0
     for pid, idx in rows.packet_groups():
         pred_l = rows.cluster_id[idx]
         true_l = truth[idx]
@@ -258,19 +245,13 @@ def cmd_eval_cluster(args: argparse.Namespace) -> int:
         if not keep.any():
             skipped += 1
             continue
-        prf, ari, nmi = cluster_scores(pred_l, true_l, beta=cfg.beta)
+        pc, prf, ari, nmi = cluster_scores(pred_l, true_l, beta=cfg.beta)
+        counts.append((int(keep.sum()), pc))
         f_scores.append(prf.f_score)
         precisions.append(prf.precision)
         recalls.append(prf.recall)
         aris.append(ari.value)
         nmis.append(nmi.value)
-        # Pooled labels stay packet-local: ids are offset per packet on both
-        # sides, so no pair spans packets in either labeling.
-        shift_p = np.where(pred_l == NOISE, NOISE, pred_l + offset)
-        shift_t = np.where(true_l == NOISE, NOISE, true_l + offset)
-        pooled_pred.append(shift_p)
-        pooled_truth.append(shift_t)
-        offset += int(max(pred_l.max(), true_l.max()) + 1)
         if args.kmeans:
             feats = feature_matrix(
                 rows.t[idx], rows.x[idx], rows.y[idx], rows.p[idx], geom, DecayParams(tau=cfg.tau)
@@ -290,13 +271,9 @@ def cmd_eval_cluster(args: argparse.Namespace) -> int:
     print(f"mean_f = {_fmt(np.mean(f_scores))}")
     print(f"mean_ari = {_fmt(np.mean(aris))}")
     print(f"mean_nmi = {_fmt(np.mean(nmis))}")
-    pp = np.concatenate(pooled_pred)
-    pt = np.concatenate(pooled_truth)
-    pooled = pair_counts(pp, pt)
-    pooled_prf = pooled.prf(cfg.beta)
-    pooled_ari = pooled.ari()
-    print(f"pooled_f = {_fmt(pooled_prf.f_score)}")
-    print(f"pooled_ari = {_fmt(pooled_ari.value)}")
+    pooled = pooled_pair_counts(counts)  # labels are packet-local: no pair across packets is together
+    print(f"pooled_f = {_fmt(pooled.prf(cfg.beta).f_score)}")
+    print(f"pooled_ari = {_fmt(pooled.ari().value)}")
     if args.kmeans:
         print(f"kmeans_mean_f = {_fmt(np.mean(km_scores))}")
         print(f"f_gap = {_fmt(np.mean(f_scores) - np.mean(km_scores))}")

@@ -49,12 +49,12 @@ class StreamOrderError(EvshiftError):
 
 
 class ParseError(EvshiftError):
-    """A file could not be parsed; carries the 1-based offending line number."""
+    """A file could not be parsed; carries the 1-based offending line number, or None."""
 
-    def __init__(self, path: str, line_no: int, message: str):
+    def __init__(self, path: str, line_no: int | None, message: str):
         self.path = path
         self.line_no = line_no
-        super().__init__(f"{path}:{line_no}: {message}")
+        super().__init__(f"{path}: {message}" if line_no is None else f"{path}:{line_no}: {message}")
 
 
 class NumericalError(EvshiftError):

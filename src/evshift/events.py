@@ -1,13 +1,13 @@
 """Core event model: sensor events, streams, geometry, packets and the 4D feature map.
 
 A stream is held as four columns in an EventStream, from reader or generator
-to writers; Event objects are built only on demand.  The stream is clustered
-packet by packet.  Each packet of consecutive events is mapped into a
-normalized feature space with four coordinates: column, row, polarity and an
-exponentially decayed age.  All four components live in [0, 1], so a single
-scalar bandwidth is meaningful across dimensions.  The decay is measured
-against the newest timestamp in the packet, which makes the feature map a
-pure per-packet function of the raw events.
+to writers; Event objects are built only on demand.  packet_chunks cuts the
+stream into packets, clustered one by one.  Each packet of consecutive events
+is mapped into a normalized feature space with four coordinates: column, row,
+polarity and an exponentially decayed age.  All four components live in
+[0, 1], so a single scalar bandwidth is meaningful across dimensions.  The
+decay is measured against the newest timestamp in the packet, which makes the
+feature map a pure per-packet function of the raw events.
 """
 
 from __future__ import annotations
@@ -183,21 +183,34 @@ def make_packet(events: Iterable[Event], geom: SensorGeometry, params: DecayPara
     return Packet(s.t, s.x, s.y, s.p, feature_matrix(s.t, s.x, s.y, s.p, geom, params))
 
 
-def packetize(
-    stream: Iterable[Event],
-    size: int,
-    geom: SensorGeometry,
-    params: DecayParams,
-) -> Iterator[Packet]:
-    """Split a time-ordered stream into consecutive packets of `size` events.
-
-    The last packet may be smaller.  Raises StreamOrderError (with the global
-    stream index) if timestamps ever decrease.
-    """
+def packet_chunks(chunks: Iterable[EventStream], size: int, geom: SensorGeometry,
+                  params: DecayParams) -> Iterator[Packet]:
+    """Cut a stream, given as consecutive chunks that may be empty, into packets
+    of `size` events, carrying fewer than `size` from chunk to chunk; only the
+    last packet may be smaller.  The size is checked before any chunk is read."""
     if size < 1:
         raise ContractViolationError(f"packet size must be >= 1, got {size}")
+
+    def packets() -> Iterator[Packet]:
+        carry = EventStream([], [], [], [])
+        for chunk in chunks:
+            events = EventStream.concat([carry, chunk]) if len(carry) else chunk
+            full = len(events) - len(events) % size
+            for start in range(0, full, size):
+                yield make_packet(events[start : start + size], geom, params)
+            carry = events[full:]
+        if len(carry):
+            yield make_packet(carry, geom, params)
+
+    return packets()
+
+
+def packetize(stream: Iterable[Event], size: int, geom: SensorGeometry, params: DecayParams) -> Iterator[Packet]:
+    """Lazily split a time-ordered stream into packets of `size` events, the
+    last maybe smaller, as packet_chunks of one chunk.  Raises StreamOrderError
+    (with the global stream index) if timestamps ever decrease."""
     stream = as_stream(stream)
+    packets = packet_chunks([stream], size, geom, params)  # checks the size first
     if (i := stream.first_disorder()) < len(stream):
         raise StreamOrderError(i)
-    for start in range(0, len(stream), size):
-        yield make_packet(stream[start : start + size], geom, params)
+    yield from packets

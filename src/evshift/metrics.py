@@ -9,7 +9,7 @@ labelings actually assign.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -210,15 +210,25 @@ def normalized_mutual_information(pred, truth) -> NMIResult:
     return scored_contingency(pred, truth).nmi()
 
 
-def cluster_scores(pred, truth, beta: float = 1.0) -> Tuple[PRF, ARIResult, NMIResult]:
-    """Pair P/R/F, ARI and NMI of one labeling pair, from one contingency.
+def cluster_scores(pred, truth, beta: float = 1.0) -> Tuple[PairCounts, PRF, ARIResult, NMIResult]:
+    """Pair counts, pair P/R/F, ARI and NMI of one labeling pair, from one contingency.
 
     Each value equals the one its own function returns.
     """
     _check_beta(beta)
     cont = scored_contingency(pred, truth)
     pc = cont.pair_counts()
-    return pc.prf(beta), pc.ari(), cont.nmi()
+    return pc, pc.prf(beta), pc.ari(), cont.nmi()
+
+
+def pooled_pair_counts(parts: Iterable[Tuple[int, PairCounts]]) -> PairCounts:
+    """Pair counts of labelings pooled from parts that share no cluster id,
+    from each part's scored event count and pair counts: a pair across parts
+    is together on neither side, so only tn takes those pairs."""
+    n = tp = fp = fn = 0
+    for k, pc in parts:
+        n, tp, fp, fn = n + k, tp + pc.tp, fp + pc.fp, fn + pc.fn
+    return PairCounts(tp=tp, fp=fp, fn=fn, tn=n * (n - 1) // 2 - tp - fp - fn)
 
 
 def kmeans_baseline(

@@ -1,7 +1,7 @@
 """End-to-end wiring: noise filter, packetizer, clustering, tracking.
 
-Packets are clustered one after another, in packet order; tracking is
-stateful and follows the same order.
+events.packetize cuts packets with the cutter that `evshift cluster` uses;
+they are clustered in packet order, and the stateful tracking follows it.
 """
 
 from __future__ import annotations

@@ -447,7 +447,7 @@ def load_scene(path: str) -> SceneSpec:
     try:
         return scene_from_dict(d)
     except ContractViolationError as exc:
-        raise ParseError(path, 0, str(exc)) from exc
+        raise ParseError(path, None, str(exc)) from exc
 
 
 def save_scene(scene: SceneSpec, path: str) -> None:

@@ -270,7 +270,9 @@ def test_exit_code_scene_value_not_finite(tmp_path, capsys, scene_path, edit, me
     scene.write_text(json.dumps(d))  # NaN and Infinity, as Python's json writes them
     out = tmp_path / "o.txt"
     assert main(["synth", "--scene", str(scene), "--out", str(out)]) == 4
-    assert f"{scene}:0: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the fault is in no one line, so the message names none
+    assert err.startswith(f"error: {scene}: {message}") and ":0:" not in err
     assert not out.exists()
 
 

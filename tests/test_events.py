@@ -9,9 +9,11 @@ from evshift.errors import ContractViolationError, OutOfBoundsError, StreamOrder
 from evshift.events import (
     DecayParams,
     Event,
+    EventStream,
     SensorGeometry,
     feature_matrix,
     make_packet,
+    packet_chunks,
     packetize,
 )
 
@@ -158,6 +160,41 @@ def test_packetize_allows_equal_timestamps():
     packets = list(packetize(events, 2, g, DecayParams()))
     assert len(packets) == 2
     assert packets[0].feature_array()[:, 3].tolist() == [1.0, 1.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 150), size=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+       cuts=st.lists(st.integers(0, 150), max_size=12))
+def test_packet_chunks_equal_slices_of_the_whole_stream(n, size, seed, cuts):
+    g = SensorGeometry(7, 5)
+    dp = DecayParams(tau=0.01)
+    rng = np.random.default_rng(seed)
+    stream = EventStream(np.cumsum(rng.integers(0, 3, n)) * 1e-3, rng.integers(0, 7, n), rng.integers(0, 5, n),
+                         rng.integers(0, 2, n))
+    # repeated cut points give empty chunks, as filter_chunks may yield
+    edges = [0, *sorted(min(c, n) for c in cuts), n]
+    chunks = [stream[a:b] for a, b in zip(edges[:-1], edges[1:])]
+    got = list(packet_chunks(iter(chunks), size, g, dp))
+    want = [make_packet(stream[s : s + size], g, dp) for s in range(0, n, size)]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in ("t", "x", "y", "p", "features"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def test_packet_size_is_checked_before_any_chunk_is_read():
+    def unread():
+        raise AssertionError("a chunk was read")
+        yield
+
+    with pytest.raises(ContractViolationError, match="packet size must be >= 1"):
+        packet_chunks(unread(), 0, SensorGeometry(10, 10), DecayParams())
+    # packetize stays lazy, and checks the size before the order
+    events = [Event(t=0.2, x=1, y=1, p=1), Event(t=0.1, x=1, y=1, p=1)]
+    packets = packetize(events, 0, SensorGeometry(10, 10), DecayParams())
+    with pytest.raises(ContractViolationError, match="packet size must be >= 1"):
+        next(packets)
 
 
 def test_empty_packet_rejected():

@@ -9,7 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evshift.clustering import NOISE
 from evshift.errors import ContractViolationError, EmptyAlignmentError
 from evshift.metrics import (
     adjusted_rand_index,
@@ -19,6 +22,7 @@ from evshift.metrics import (
     kmeans_baseline,
     normalized_mutual_information,
     pair_counts,
+    pooled_pair_counts,
     precision_recall_f,
     tracking_error,
 )
@@ -331,8 +335,8 @@ def test_cluster_scores_equal_the_separate_metrics():
     for pred, truth in cases:
         for beta in (0.5, 1.0, 2.0):
             try:
-                want = (precision_recall_f(pred, truth, beta=beta), adjusted_rand_index(pred, truth),
-                        normalized_mutual_information(pred, truth))
+                want = (pair_counts(pred, truth), precision_recall_f(pred, truth, beta=beta),
+                        adjusted_rand_index(pred, truth), normalized_mutual_information(pred, truth))
             except EmptyAlignmentError:
                 with pytest.raises(EmptyAlignmentError):
                     cluster_scores(pred, truth, beta=beta)
@@ -340,6 +344,36 @@ def test_cluster_scores_equal_the_separate_metrics():
             assert cluster_scores(pred, truth, beta=beta) == want
     with pytest.raises(ContractViolationError):
         cluster_scores([0, 1], [0, 1], beta=0.0)
+
+
+def offset_pooled_pair_counts(packets):
+    """Pooled pair counts the direct way: the ids of each scored packet are
+    offset past those of the packets before it, on both sides, and one
+    pair_counts runs over the concatenated labels."""
+    pooled_pred, pooled_truth, offset = [], [], 0
+    for pred, truth in packets:
+        if not ((pred != NOISE) & (truth != NOISE)).any():
+            continue
+        pooled_pred.append(np.where(pred == NOISE, NOISE, pred + offset))
+        pooled_truth.append(np.where(truth == NOISE, NOISE, truth + offset))
+        offset += int(max(pred.max(), truth.max()) + 1)
+    return pair_counts(np.concatenate(pooled_pred), np.concatenate(pooled_truth))
+
+
+@settings(max_examples=200, deadline=None)
+@given(packets=st.lists(st.tuples(
+    st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4)), min_size=1, max_size=30),
+    st.booleans()), min_size=1, max_size=8))
+def test_pooled_pair_counts_equal_the_offset_concatenation(packets):
+    # a packet whose flag is set is all noise on the predicted side, and skipped
+    packets = [(np.array([NOISE if noise else p for p, _ in pairs]), np.array([t for _, t in pairs]))
+               for pairs, noise in packets]
+    scored = [(pred, truth) for pred, truth in packets if ((pred != NOISE) & (truth != NOISE)).any()]
+    if not scored:
+        return
+    counts = [(int(((pred != NOISE) & (truth != NOISE)).sum()), cluster_scores(pred, truth)[0])
+              for pred, truth in scored]
+    assert pooled_pair_counts(counts) == offset_pooled_pair_counts(packets)
 
 
 def test_contingency_counts_every_pair_of_ids():

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import evshift
 from evshift import cli, io
 from evshift.errors import EmptyAlignmentError
-from evshift.events import EventStream, SensorGeometry, packetize
+from evshift.events import EventStream, SensorGeometry, make_packet
 from evshift.filtering import filter_stream
 from evshift.io import (
     LabeledEvents,
@@ -78,7 +78,8 @@ def whole_input_command(args):
             write_events(args.out, kept, geom)
             counts = {"events_in": len(events), "events_out": len(kept)}
         else:
-            packets = list(packetize(events, params.packet_size, geom, params.decay))
+            size = params.packet_size  # sliced here, not cut by the code under test
+            packets = [make_packet(events[s : s + size], geom, params.decay) for s in range(0, len(events), size)]
             labelings = cluster_packets(packets, params.ms_params)
             write_labeled_events(args.out, labeled_from_packets(packets, labelings))
             counts = {"packets": len(packets), "clusters": sum(lab.n_clusters for lab in labelings),
@@ -327,8 +328,12 @@ def test_header_only_and_empty_inputs(tmp_path, small_chunks):
 def test_packet_size_below_one_exits_6(tmp_path, small_chunks):
     events = tmp_path / "ev.txt"
     events.write_text("# 10 10\n0.1 1 1 1\n0.2 1 1 1\n")
-    rc, _, err = run(["cluster", "--in", str(events), "--out", str(tmp_path / "o.csv"), "--packet-size", "0"])
-    assert rc == 6 and "packet size must be >= 1" in err
+    # the size is checked before the output is opened: a writable --out is
+    # left unwritten, and a missing directory gives 6, not 3
+    for out in (tmp_path / "o.csv", tmp_path / "missing" / "x.csv"):
+        rc, _, err = run(["cluster", "--in", str(events), "--out", str(out), "--packet-size", "0"])
+        assert rc == 6 and "packet size must be >= 1" in err, out
+    assert sorted(os.listdir(tmp_path)) == ["ev.txt"]
 
 
 def test_key_overflow_counts_the_distinct_timestamps_of_the_whole_stream(tmp_path, monkeypatch):
