@@ -19,7 +19,7 @@ import numpy as np
 
 from .bench import run_sweep, write_cost_csv
 from .clustering import NOISE
-from .config import _FIELD_TYPES, RunConfig, load_config_file, merge_config
+from .config import SETTINGS, RunConfig, load_config_file, merge_config
 from .errors import (
     ContractViolationError,
     EmptyAlignmentError,
@@ -54,7 +54,7 @@ from .io import (
 from .metrics import cluster_scores, kmeans_baseline, pooled_pair_counts, precision_recall_f, tracking_error
 from .pipeline import PacketIdsGoBack, cluster_packets, in_packet_order, labeled_from_packets, track_chunks
 from .scenes import SCENE_BUILDERS, build_scene
-from .synth import generate, load_scene
+from .synth import SceneSpec, generate, load_scene
 from .tracking import Tracker, TrackStatus
 
 
@@ -71,22 +71,20 @@ def _parse_geometry(text: str) -> SensorGeometry:
 def _build_config(args: argparse.Namespace) -> RunConfig:
     file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
     cli_values = {
-        k: v for k, v in vars(args).items() if k in _FIELD_TYPES and v is not None
+        k: v for k, v in vars(args).items() if k in SETTINGS and v is not None
     }
     return merge_config(file_values, cli_values)
 
 
-def _resolve_scene(name_or_path: str) -> "SceneSpec":
-    if name_or_path in SCENE_BUILDERS:
-        return build_scene(name_or_path)
-    return load_scene(name_or_path)
+def _resolve_scene(name_or_path: str, seed: Optional[int]) -> SceneSpec:
+    """A built-in scene or a scene file, with its seed replaced unless `seed` is None."""
+    scene = build_scene(name_or_path) if name_or_path in SCENE_BUILDERS else load_scene(name_or_path)
+    return scene if seed is None else dataclasses.replace(scene, seed=seed)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    scene = _resolve_scene(args.scene)
-    if cfg.seed is not None:
-        scene = dataclasses.replace(scene, seed=cfg.seed)
+    scene = _resolve_scene(args.scene, cfg.seed)
     gen = generate(scene, speed_factor=cfg.speed_factor)
     write_events(args.out, gen.events, gen.geometry)
     print(f"events = {len(gen.events)}")
@@ -232,6 +230,8 @@ def cmd_eval_cluster(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     if args.kmeans and not args.geometry:
         raise ContractViolationError("--kmeans needs --geometry WxH to rebuild features")
+    if args.kmeans and cfg.kmeans_k is not None and cfg.kmeans_k < 1:
+        raise ContractViolationError(f"kmeans_k must be >= 1, got {cfg.kmeans_k}")
     geom = _parse_geometry(args.geometry) if args.geometry else None
     rows = read_labeled_events(args.pred)
     truth = _truth_labels_for(rows, read_truth(args.truth))
@@ -256,8 +256,8 @@ def cmd_eval_cluster(args: argparse.Namespace) -> int:
             feats = feature_matrix(
                 rows.t[idx], rows.x[idx], rows.y[idx], rows.p[idx], geom, DecayParams(tau=cfg.tau)
             )
-            k = cfg.kmeans_k or len(np.unique(true_l[true_l != NOISE]))
-            k = max(1, min(k, len(idx)))
+            k = len(np.unique(true_l[true_l != NOISE])) if cfg.kmeans_k is None else cfg.kmeans_k
+            k = min(k, len(idx))
             km_labels = kmeans_baseline(feats, k, seed=(cfg.seed or 0) + pid)
             km_prf = precision_recall_f(km_labels, true_l, beta=cfg.beta)
             km_scores.append(km_prf.f_score)
@@ -309,9 +309,7 @@ def cmd_eval_track(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    scene = _resolve_scene(args.scene)
-    if cfg.seed is not None:
-        scene = dataclasses.replace(scene, seed=cfg.seed)
+    scene = _resolve_scene(args.scene, cfg.seed)
     try:
         factors = [float(f) for f in args.factors.split(",") if f.strip()]
     except ValueError as exc:
@@ -335,29 +333,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    """--config, then one flag per RunConfig setting, in field order."""
     parser.add_argument("--config", help="flat key=value configuration file")
-    parser.add_argument("--bandwidth", type=float, help="kernel bandwidth in normalized feature units")
-    parser.add_argument("--epsilon", type=float, help="convergence step threshold")
-    parser.add_argument("--max-iters", dest="max_iters", type=int, help="iteration cap per packet")
-    parser.add_argument("--merge-radius", dest="merge_radius", type=float, help="mode coalescing radius")
-    parser.add_argument("--min-cluster-size", dest="min_cluster_size", type=int, help="smaller clusters become noise")
-    parser.add_argument("--tau", type=float, help="time decay constant in seconds")
-    parser.add_argument("--packet-size", dest="packet_size", type=int, help="events per packet")
-    parser.add_argument("--filter-radius", dest="filter_radius", type=int, help="support neighborhood radius in pixels")
-    parser.add_argument("--filter-window", dest="filter_window", type=float, help="support window in seconds")
-    parser.add_argument("--no-filter", dest="no_filter", action="store_const", const=True, help="skip the correlation filter")
-    parser.add_argument("--gate", type=float, help="association gate in pixels")
-    parser.add_argument("--q-var", dest="q_var", type=float, help="process noise intensity")
-    parser.add_argument("--r-var", dest="r_var", type=float, help="measurement noise variance")
-    parser.add_argument("--confirm-hits", dest="confirm_hits", type=int, help="consecutive hits to confirm a track")
-    parser.add_argument("--max-misses", dest="max_misses", type=int, help="consecutive misses before a track dies")
-    parser.add_argument("--seed", type=int, help="random seed override")
-    parser.add_argument("--speed-factor", dest="speed_factor", type=float, help="time compression factor")
-    parser.add_argument("--threshold", type=float, help="validity threshold for track error, pixels")
-    parser.add_argument("--kmeans-k", dest="kmeans_k", type=int, help="fixed k for the k-means comparison")
-    parser.add_argument("--beta", type=float, help="weight of recall in the F score")
-    parser.add_argument("--fps", type=float, help="frame rate of the frame-driven baseline")
-    parser.add_argument("--capacity", type=float, help="event throughput cap for the consumer model")
+    for name, (kind, _, help) in SETTINGS.items():
+        how = {"action": "store_const", "const": True} if kind is bool else {"type": kind}
+        parser.add_argument("--" + name.replace("_", "-"), help=help, **how)
 
 
 def build_parser() -> argparse.ArgumentParser:

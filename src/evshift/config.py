@@ -4,14 +4,20 @@ Values resolve in the order: built-in defaults, then a flat key=value
 config file, then command-line flags.  A later layer only overrides keys
 it actually sets.  merge_radius left unset follows the bandwidth at half
 its value.
+
+Each setting is one RunConfig field: its name is the file key and, with
+`-` for `_`, the flag; its annotation is its kind and its metadata its
+help.  A stage setting takes its default from the stage's own class.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
+from .bench import DEFAULT_FPS
 from .clustering import MeanShiftParams
 from .errors import ContractViolationError, ParseError, require_finite
 from .events import DecayParams
@@ -21,30 +27,34 @@ from .pipeline import PipelineParams
 from .tracking import TrackerParams
 
 
+def _setting(default, help: str):
+    return dataclasses.field(default=default, metadata={"help": help})
+
+
 @dataclass
 class RunConfig:
-    bandwidth: float = 0.1
-    epsilon: float = 1e-3
-    max_iters: int = 100
-    merge_radius: Optional[float] = None
-    min_cluster_size: int = 5
-    tau: float = 0.025
-    packet_size: int = 500
-    filter_radius: int = 1
-    filter_window: float = 0.005
-    no_filter: bool = False
-    gate: float = 15.0
-    q_var: float = 100.0
-    r_var: float = 4.0
-    confirm_hits: int = 3
-    max_misses: int = 10
-    seed: Optional[int] = None
-    speed_factor: float = 1.0
-    threshold: float = 2.5
-    kmeans_k: Optional[int] = None
-    beta: float = 1.0
-    fps: float = 30.0
-    capacity: Optional[float] = None
+    bandwidth: float = _setting(MeanShiftParams.bandwidth_h, "kernel bandwidth in normalized feature units")
+    epsilon: float = _setting(MeanShiftParams.epsilon, "convergence step threshold")
+    max_iters: int = _setting(MeanShiftParams.max_iters, "iteration cap per packet")
+    merge_radius: Optional[float] = _setting(None, "mode coalescing radius")
+    min_cluster_size: int = _setting(MeanShiftParams.min_cluster_size, "smaller clusters become noise")
+    tau: float = _setting(DecayParams.tau, "time decay constant in seconds")
+    packet_size: int = _setting(PipelineParams.packet_size, "events per packet")
+    filter_radius: int = _setting(FilterParams.radius, "support neighborhood radius in pixels")
+    filter_window: float = _setting(FilterParams.window, "support window in seconds")
+    no_filter: bool = _setting(False, "skip the correlation filter")
+    gate: float = _setting(TrackerParams.gate, "association gate in pixels")
+    q_var: float = _setting(TrackerParams.q_var, "process noise intensity")
+    r_var: float = _setting(TrackerParams.r_var, "measurement noise variance")
+    confirm_hits: int = _setting(TrackerParams.confirm_hits, "consecutive hits to confirm a track")
+    max_misses: int = _setting(TrackerParams.max_misses, "consecutive misses before a track dies")
+    seed: Optional[int] = _setting(None, "random seed override")
+    speed_factor: float = _setting(1.0, "time compression factor")
+    threshold: float = _setting(2.5, "validity threshold for track error, pixels")
+    kmeans_k: Optional[int] = _setting(None, "fixed k for the k-means comparison")
+    beta: float = _setting(1.0, "weight of recall in the F score")
+    fps: float = _setting(DEFAULT_FPS, "frame rate of the frame-driven baseline")
+    capacity: Optional[float] = _setting(None, "event throughput cap for the consumer model")
 
     def __post_init__(self):
         require_finite(self)
@@ -76,27 +86,32 @@ class RunConfig:
         )
 
 
-_FIELD_TYPES = {f.name: f for f in dataclasses.fields(RunConfig)}
+def _kind(hint) -> Tuple[type, bool]:
+    """The kind of a field's annotation, and whether it may be None."""
+    kinds = [a for a in typing.get_args(hint) if a is not type(None)]
+    return (kinds[0], True) if kinds else (hint, False)
 
-_INT_FIELDS = {"max_iters", "min_cluster_size", "packet_size", "filter_radius", "confirm_hits", "max_misses", "seed", "kmeans_k"}
-_BOOL_FIELDS = {"no_filter"}
-_OPTIONAL_FIELDS = {"merge_radius", "seed", "kmeans_k", "capacity"}
+
+_HINTS = typing.get_type_hints(RunConfig)
+# name -> (kind, whether None is allowed, help text), read off each field.
+SETTINGS: Dict[str, Tuple[type, bool, str]] = {
+    f.name: (*_kind(_HINTS[f.name]), f.metadata["help"]) for f in dataclasses.fields(RunConfig)
+}
 
 
 def _coerce(key: str, raw: str, path: str, line_no: int):
+    kind, optional, _ = SETTINGS[key]
     raw = raw.strip()
-    if key in _OPTIONAL_FIELDS and raw.lower() in ("none", ""):
+    if optional and raw.lower() in ("none", ""):
         return None
     try:
-        if key in _BOOL_FIELDS:
+        if kind is bool:
             if raw.lower() in ("1", "true", "yes", "on"):
                 return True
             if raw.lower() in ("0", "false", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if key in _INT_FIELDS:
-            return int(raw)
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
         raise ParseError(path, line_no, f"bad value for {key}: {exc}") from exc
 
@@ -113,7 +128,7 @@ def load_config_file(path: str) -> Dict[str, object]:
             raise ParseError(path, line_no, f"expected key=value, got {line!r}")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in _FIELD_TYPES:
+        if key not in SETTINGS:
             raise ParseError(path, line_no, f"unknown configuration key {key!r}")
         out[key] = _coerce(key, value, path, line_no)
     return out

@@ -401,7 +401,6 @@ def read_tracks(path: str) -> List[TrackRow]:
 
 
 TRUTH_COLUMNS: Columns = EVENT_COLUMNS + (("object_id", int),)
-TRUTH_HEADER = _names(TRUTH_COLUMNS)
 
 
 def write_truth(path: str, events: Iterable[Event], labels: np.ndarray) -> None:
@@ -415,7 +414,6 @@ def read_truth(path: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
 
 
 CENTERS_COLUMNS: Columns = (("t", float), ("object_id", int), ("cx", float), ("cy", float))
-CENTERS_HEADER = _names(CENTERS_COLUMNS)
 
 
 def write_centers(path: str, t: np.ndarray, obj: np.ndarray, xy: np.ndarray) -> None:

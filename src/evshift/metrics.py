@@ -330,6 +330,8 @@ def tracking_error(
     positions and the bound object's interpolated center; samples of tracks
     that never bind are excluded and those tracks reported unmatched.
     """
+    if not (threshold >= 0 and match_radius > 0):
+        raise ContractViolationError(f"threshold must be >= 0 and match_radius > 0: {threshold}, {match_radius}")
     sample_t = np.asarray(sample_t, dtype=float)
     sample_track = np.asarray(sample_track, dtype=int)
     sample_xy = np.asarray(sample_xy, dtype=float)

@@ -17,7 +17,9 @@ import evshift
 from evshift.cli import _truth_labels_for, main
 from evshift.clustering import NOISE
 from evshift.config import RunConfig
-from evshift.io import LabeledEvents, TrackRow, read_events, write_labeled_events, write_tracks, write_truth
+from evshift.io import (
+    LabeledEvents, TrackRow, read_events, write_centers, write_labeled_events, write_tracks, write_truth,
+)
 from evshift.errors import ContractViolationError, EmptyAlignmentError
 from evshift.events import Event
 from evshift.pipeline import PipelineParams, run_pipeline
@@ -370,6 +372,30 @@ def test_exit_code_contract_violations(tmp_path, capsys):
     assert main(["eval-cluster", "--pred", lab, "--truth", truth]) == 8
     assert main(["eval-cluster", "--pred", lab, "--truth", truth, "--kmeans"]) == 6
     assert main(["bench", "--scene", "reference", "--factors", "a,b"]) == 6
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_exit_code_kmeans_k_below_one(tmp_path, capsys, k):
+    absent = str(tmp_path / "absent.csv")  # the check comes before any file is read
+    args = ["eval-cluster", "--pred", absent, "--truth", absent, "--kmeans", "--geometry", "10x10"]
+    assert main([*args, "--kmeans-k", k]) == 6
+    assert f"kmeans_k must be >= 1, got {k}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--threshold", "--gate"])
+def test_exit_code_eval_track_invalid_setting(tmp_path, capsys, flag):
+    tracks = str(tmp_path / "tracks.csv")
+    centers = str(tmp_path / "centers.csv")
+    write_centers(centers, np.array([0.0, 0.2]), np.array([0, 0]), np.array([[1.0, 1.0], [2.0, 2.0]]))
+    row = TrackRow(t=0.1, track_id=0, x=1.5, y=1.5, vx=0.0, vy=0.0, status="confirmed", raw_cx=1.5, raw_cy=1.5)
+    write_tracks(tracks, [row])
+    args = ["eval-track", "--tracks", tracks, "--centers", centers]
+    assert main(args) == 0
+    assert main([*args, flag, "-1"]) == 6
+    # with no confirmed sample there is nothing to score, whatever the setting
+    write_tracks(tracks, [dataclasses.replace(row, status="tentative")])
+    assert main([*args, flag, "-1"]) == 8
     capsys.readouterr()
 
 

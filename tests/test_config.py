@@ -2,6 +2,7 @@ import pytest
 
 from evshift.config import RunConfig, load_config_file, merge_config
 from evshift.errors import ContractViolationError, ParseError
+from evshift.pipeline import PipelineParams
 
 
 def test_defaults_round_numbers():
@@ -17,6 +18,10 @@ def test_defaults_round_numbers():
     assert cfg.r_var == 4.0
     assert cfg.confirm_hits == 3
     assert cfg.max_misses == 10
+
+
+def test_defaults_are_the_library_defaults():
+    assert RunConfig().pipeline_params() == PipelineParams()
 
 
 def test_merge_radius_follows_bandwidth_unless_set():

@@ -320,6 +320,15 @@ def test_tracking_error_unmatched_track_reported():
     assert rep_only_far is None
 
 
+@pytest.mark.parametrize("threshold, match_radius", [(-1.0, 15.0), (math.nan, 15.0), (2.5, 0.0), (2.5, math.nan)])
+def test_tracking_error_rejects_invalid_settings(threshold, match_radius):
+    truth_t, truth_obj, truth_xy = one_object_truth()
+    ts = np.array([0.1, 0.2])
+    xy = np.array([[11.0, 10.0], [12.0, 10.0]])
+    with pytest.raises(ContractViolationError):
+        tracking_error(ts, np.zeros(2, dtype=int), xy, truth_t, truth_obj, truth_xy, threshold, match_radius)
+
+
 def test_tracking_error_empty_inputs():
     truth_t, truth_obj, truth_xy = one_object_truth()
     with pytest.raises(EmptyAlignmentError):
