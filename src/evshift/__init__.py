@@ -50,7 +50,7 @@ from .metrics import (
     precision_recall_f,
     tracking_error,
 )
-from .pipeline import PipelineParams, PipelineResult, cluster_packets, run_pipeline
+from .pipeline import PipelineParams, PipelineResult, cluster_packets, process_packets, run_pipeline
 from .scenes import build_scene, reference_scene, stability_scene, tracking_scene
 from .synth import (
     GeneratedScene,

@@ -19,20 +19,28 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .clustering import MeanShiftParams
 from .errors import ContractViolationError
 from .events import SensorGeometry
 from .io import _write_csv
 from .pipeline import PipelineParams, cluster_packets, make_packets
-from .synth import GeneratedScene, SceneSpec, generate
+from .synth import GeneratedScene, SceneSpec, _check_speed_factor, generate
 
 DEFAULT_FPS = 30.0
 
 
-def frame_baseline(geom: SensorGeometry, fps: float = DEFAULT_FPS) -> float:
-    """Pixels per second a frame-driven consumer must process."""
+def _check_inputs(factors: Sequence[float] = (), fps: float = DEFAULT_FPS, capacity: Optional[float] = None) -> None:
+    """Raise where a capacity, the fps or a speed factor is out of range."""
+    if capacity is not None and not (capacity > 0):
+        raise ContractViolationError(f"capacity must be > 0, got {capacity}")
     if not (fps > 0):
         raise ContractViolationError(f"fps must be > 0, got {fps}")
+    for factor in factors:
+        _check_speed_factor(factor)
+
+
+def frame_baseline(geom: SensorGeometry, fps: float = DEFAULT_FPS) -> float:
+    """Pixels per second a frame-driven consumer must process."""
+    _check_inputs(fps=fps)
     return fps * geom.width * geom.height
 
 
@@ -75,8 +83,7 @@ def _shed_packets(n_packets: int, packet_size: int, duration: float, capacity: O
     """
     if capacity is None or n_packets == 0:
         return np.arange(n_packets)
-    if capacity <= 0:
-        raise ContractViolationError(f"capacity must be > 0, got {capacity}")
+    _check_inputs(capacity=capacity)
     budget = int(capacity * duration // packet_size)
     n_proc = min(n_packets, budget)
     if n_proc <= 0:
@@ -94,6 +101,7 @@ def measure_factor(
     capacity: Optional[float] = None,
 ) -> CostRow:
     """Generate the scene at one speed factor and account its cost."""
+    _check_inputs([factor], fps, capacity)
     return _account(generate(scene, speed_factor=factor), factor, params, fps, capacity)
 
 
@@ -142,6 +150,7 @@ def run_sweep(
     is rendered once: a speed factor only divides the times."""
     if not factors:
         raise ContractViolationError("need at least one speed factor")
+    _check_inputs(factors, fps, capacity)  # before the scene is rendered
     params = params or PipelineParams()
     gen = generate(scene)
     rows = [_account(gen.sped_up(f), f, params, fps, capacity) for f in factors]

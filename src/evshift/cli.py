@@ -17,6 +17,7 @@ from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from . import io
 from .bench import run_sweep, write_cost_csv
 from .clustering import NOISE
 from .config import SETTINGS, RunConfig, load_config_file, merge_config
@@ -52,7 +53,7 @@ from .io import (
     write_truth,
 )
 from .metrics import cluster_scores, kmeans_baseline, pooled_pair_counts, precision_recall_f, tracking_error
-from .pipeline import PacketIdsGoBack, cluster_packets, in_packet_order, labeled_from_packets, track_chunks
+from .pipeline import PacketIdsGoBack, labeled_from_packets, observed_rows, packet_centroids, process_packets
 from .scenes import SCENE_BUILDERS, build_scene
 from .synth import SceneSpec, generate, load_scene
 from .tracking import Tracker, TrackStatus
@@ -155,12 +156,14 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         def pieces():
             nonlocal n_packets, n_clusters, kernel_evals
             yield csv_header(LABELED_COLUMNS)
-            for packet in packets:
-                (lab,) = cluster_packets([packet], params.ms_params)
-                yield from labeled_lines(labeled_from_packets([packet], [lab], first_id=n_packets))
-                n_packets += 1
-                n_clusters += lab.n_clusters
-                kernel_evals += lab.ops_count
+            # flattened and written in batches of about one input chunk of rows
+            done = process_packets(packets, params.ms_params)
+            while batch := list(itertools.islice(done, max(1, io._CHUNK_ROWS // params.packet_size))):
+                batch_packets, labs, _ = zip(*batch)
+                yield from labeled_lines(labeled_from_packets(batch_packets, labs, first_id=n_packets))
+                n_packets += len(labs)
+                n_clusters += sum(lab.n_clusters for lab in labs)
+                kernel_evals += sum(lab.ops_count for lab in labs)
 
         atomic_write_text(args.out, pieces())
         return [f"packets = {n_packets}", f"clusters = {n_clusters}", f"kernel_evals = {kernel_evals}"]
@@ -174,7 +177,8 @@ def cmd_track(args: argparse.Namespace) -> int:
     def body(chunks: Iterator[LabeledEvents]) -> List[str]:
         if (first := next(chunks, None)) is None:  # no chunk is empty
             raise EmptyAlignmentError("labeled event file is empty")
-        packets = track_chunks(Tracker(cfg.pipeline_params().tracker_params), itertools.chain([first], chunks))
+        tracker = Tracker(cfg.pipeline_params().tracker_params)
+        packets = (observed_rows(tracker, t, ms) for t, ms in packet_centroids(itertools.chain([first], chunks)))
         n_packets = 0
         track_ids, confirmed = set(), set()
 
@@ -192,8 +196,9 @@ def cmd_track(args: argparse.Namespace) -> int:
 
     try:
         return _run(body, labeled_chunks(args.input))
-    except PacketIdsGoBack:
-        return _run(body, iter([in_packet_order(read_labeled_events(args.input))]))
+    except PacketIdsGoBack:  # track in ascending packet id, each packet's rows in file order
+        rows = read_labeled_events(args.input)
+        return _run(body, iter([rows[np.argsort(rows.packet_id, kind="stable")]]))
 
 
 def _truth_labels_for(rows: LabeledEvents, truth: Sequence[np.ndarray]) -> np.ndarray:

@@ -352,21 +352,6 @@ def merge_modes(modes: np.ndarray, merge_radius: float) -> np.ndarray:
     return out
 
 
-def cluster_centroids(labels, x, y) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean raw pixel position and event count of every labeled cluster.
-
-    Returns (ids, centroids, masses) in ascending cluster id order; NOISE
-    events are left out.  Each coordinate sum is exact for pixel indices,
-    so a centroid does not depend on event order.
-    """
-    labels = np.asarray(labels)
-    keep = labels != NOISE
-    ids, inverse, masses = np.unique(labels[keep], return_inverse=True, return_counts=True)
-    cx = np.bincount(inverse, weights=np.asarray(x)[keep], minlength=len(ids))
-    cy = np.bincount(inverse, weights=np.asarray(y)[keep], minlength=len(ids))
-    return ids, np.column_stack([cx, cy]) / masses[:, None], masses
-
-
 def cluster_packet(packet: Packet, params: MeanShiftParams) -> ClusterLabeling:
     """Cluster one packet: mode seeking, mode merging, noise suppression.
 
@@ -381,9 +366,16 @@ def cluster_packet(packet: Packet, params: MeanShiftParams) -> ClusterLabeling:
     # ones in component order keeps first-occurrence order.
     big = np.bincount(comp) >= params.min_cluster_size
     remap = np.full(len(big), NOISE, dtype=int)
-    remap[big] = np.arange(int(big.sum()))
+    k = int(big.sum())
+    remap[big] = np.arange(k)
     labels = remap[comp]
-    _, centroids, masses = cluster_centroids(labels, packet.x, packet.y)
+    # bincount adds each cluster's coordinates in row order; the sums of
+    # pixel indices are exact, so a centroid does not depend on event order
+    keep = labels != NOISE
+    kept = labels[keep]
+    masses = np.bincount(kept, minlength=k)
+    sums = [np.bincount(kept, weights=c[keep], minlength=k) for c in (packet.x, packet.y)]
+    centroids = np.column_stack(sums) / masses[:, None]
     return ClusterLabeling(
         labels=labels,
         centroids=centroids,

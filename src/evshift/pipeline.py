@@ -1,7 +1,11 @@
 """End-to-end wiring: noise filter, packetizer, clustering, tracking.
 
-events.packetize cuts packets with the cutter that `evshift cluster` uses;
-they are clustered in packet order, and the stateful tracking follows it.
+process_packets is the one loop from packets to labels and tracks: it
+clusters each packet and hands its centroids straight to the tracker.
+run_pipeline, cluster_packets and `evshift cluster` all go through it, on
+packets cut by events.packet_chunks.  `evshift track` tracks labeled rows
+read back from a file with the same per-packet step, observed_rows, on the
+centroids of packet_centroids.
 """
 
 from __future__ import annotations
@@ -29,11 +33,6 @@ class PipelineParams:
     filter_params: Optional[FilterParams] = field(default_factory=FilterParams)
     ms_params: MeanShiftParams = field(default_factory=MeanShiftParams)
     tracker_params: TrackerParams = field(default_factory=TrackerParams)
-
-
-def cluster_packets(packets: Sequence[Packet], params: MeanShiftParams) -> List[ClusterLabeling]:
-    """Cluster packets in packet order."""
-    return [cluster_packet(p, params) for p in packets]
 
 
 @dataclass
@@ -64,6 +63,40 @@ def make_packets(
         kept = filter_stream(events, params.filter_params, geom)
     packets = list(packetize(kept, params.packet_size, geom, params.decay))
     return packets, len(events), len(kept)
+
+
+def observed_rows(tracker: Tracker, t: float, measurements: Measurements) -> List[TrackRow]:
+    """Observe one packet's cluster centroids at time t, then give one row
+    per live track.  Raw centroid columns are NaN for a track that coasted
+    on prediction alone in this packet."""
+    tracker.observe(t, measurements)
+    live = tracker.live
+    raw = np.where((live.measured_t == t)[:, None], live.last_measurement, math.nan)
+    status = [st.value for st in live.status()]
+    # state is x, y, vx, vy; raw is the centroid measured at t
+    return [
+        TrackRow(t, *fields)
+        for fields in zip(live.track_id.tolist(), *live.state.T.tolist(), status, *raw.T.tolist())
+    ]
+
+
+def process_packets(
+    packets: Iterable[Packet], ms_params: MeanShiftParams, tracker: Optional[Tracker] = None
+) -> Iterator[Tuple[Packet, ClusterLabeling, List[TrackRow]]]:
+    """Cluster packets in packet order and yield (packet, labeling, track
+    rows) for each.  With a tracker, it observes the labeling's centroids,
+    cluster ids 0..k-1, at the packet's newest timestamp; without one the
+    track rows are empty.  Holds nothing from one packet to the next."""
+    for packet in packets:
+        lab = cluster_packet(packet, ms_params)
+        k, t = lab.n_clusters, packet.t_ref
+        measurements = Measurements(np.full(k, t), lab.centroids, np.arange(k))
+        yield packet, lab, [] if tracker is None else observed_rows(tracker, t, measurements)
+
+
+def cluster_packets(packets: Iterable[Packet], params: MeanShiftParams) -> List[ClusterLabeling]:
+    """Cluster packets in packet order."""
+    return [lab for _, lab, _ in process_packets(packets, params)]
 
 
 def labeled_from_packets(
@@ -140,8 +173,8 @@ def packet_centroids(chunks: Iterable[LabeledEvents]) -> Iterator[Tuple[float, M
 
     No rows are held: each chunk adds to per-(packet, cluster) coordinate
     sums and counts.  While a packet's coordinate sums stay below 2**53 in
-    magnitude they are exact, so a centroid has the bits of
-    cluster_centroids over the whole packet at once.  Past that they round,
+    magnitude they are exact, so a centroid has the bits that cluster_packet
+    gives over the whole packet at once.  Past that they round,
     and a centroid's bits may depend on where the chunks split the packet.
     """
     pending: Optional[_PacketSums] = None  # the packet that the next chunk may go on with
@@ -161,39 +194,6 @@ def packet_centroids(chunks: Iterable[LabeledEvents]) -> Iterator[Tuple[float, M
         yield pending.t, pending.measurements()
 
 
-def in_packet_order(labeled: LabeledEvents) -> LabeledEvents:
-    """The rows in ascending packet id, each packet's rows in file order."""
-    return labeled[np.argsort(labeled.packet_id, kind="stable")]
-
-
-def track_chunks(tracker: Tracker, chunks: Iterable[LabeledEvents]) -> Iterator[List[TrackRow]]:
-    """Per packet of labeled rows in chunks (see packet_centroids): observe
-    its cluster centroids at its newest timestamp, then give one row per
-    live track.
-
-    Raw centroid columns are NaN for a track that coasted on prediction
-    alone in this packet.
-    """
-    for t, measurements in packet_centroids(chunks):
-        tracker.observe(t, measurements)
-        live = tracker.live
-        raw = np.where((live.measured_t == t)[:, None], live.last_measurement, math.nan)
-        status = [st.value for st in live.status()]
-        # state is x, y, vx, vy; raw is the centroid measured at t
-        yield [
-            TrackRow(t, *fields)
-            for fields in zip(live.track_id.tolist(), *live.state.T.tolist(), status, *raw.T.tolist())
-        ]
-
-
-def track_labelings(labeled: LabeledEvents, params: TrackerParams) -> tuple[List[TrackRow], Tracker]:
-    """Feed per-packet cluster centroids through the tracker, packet by
-    packet in ascending packet id, through track_chunks."""
-    tracker = Tracker(params)
-    rows = [row for packet in track_chunks(tracker, iter([in_packet_order(labeled)])) for row in packet]
-    return rows, tracker
-
-
 def run_pipeline(
     events: Iterable[Event],
     geom: SensorGeometry,
@@ -202,14 +202,14 @@ def run_pipeline(
     """Run the whole batch pipeline over an event stream."""
     params = params or PipelineParams()
     packets, n_raw, n_kept = make_packets(events, geom, params)
-    labelings = cluster_packets(packets, params.ms_params)
-    labeled = labeled_from_packets(packets, labelings)
-    track_rows, tracker = track_labelings(labeled, params.tracker_params)
+    tracker = Tracker(params.tracker_params)
+    done = list(process_packets(packets, params.ms_params, tracker))
+    labelings = [lab for _, lab, _ in done]
     return PipelineResult(
         packets=packets,
         labelings=labelings,
-        labeled=labeled,
-        track_rows=track_rows,
+        labeled=labeled_from_packets(packets, labelings),
+        track_rows=[row for _, _, rows in done for row in rows],
         tracker=tracker,
         n_raw=n_raw,
         n_filtered=n_kept,

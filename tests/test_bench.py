@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evshift import bench
+from evshift import bench, cli
 from evshift.bench import (
     COST_HEADER,
     _shed_packets,
@@ -135,3 +135,22 @@ def test_sweep_renders_once_and_matches_measure_factor(monkeypatch):
     report = run_sweep(scene, [1.0, 2.0, 4.0], params=params)
     assert len(calls) == 1
     assert report.rows == want
+
+
+@pytest.mark.parametrize("factors, fps, capacity, message", [
+    ([1.0, 0.0], 30.0, None, "speed factor must be > 0, got 0.0"),
+    ([1.0, 2.0], 0.0, None, "fps must be > 0, got 0.0"),
+    ([1.0], 30.0, -5.0, "capacity must be > 0, got -5.0"),
+])
+def test_bad_settings_fail_before_the_scene_is_rendered(monkeypatch, capsys, factors, fps, capacity, message):
+    def never(*args, **kwargs):
+        raise AssertionError("the scene was rendered")
+
+    monkeypatch.setattr(bench, "generate", never)
+    argv = ["bench", "--scene", "reference", "--factors", ",".join(map(repr, factors)), "--fps", repr(fps)]
+    assert cli.main(argv + ([] if capacity is None else ["--capacity", repr(capacity)])) == 6
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(ContractViolationError, match=message):
+        run_sweep(sweep_scene(), factors, params=small_params(), fps=fps, capacity=capacity)
+    with pytest.raises(ContractViolationError, match=message):
+        measure_factor(sweep_scene(), factors[-1], small_params(), fps=fps, capacity=capacity)

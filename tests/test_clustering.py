@@ -22,7 +22,6 @@ from evshift.clustering import (
     MeanShiftParams,
     WEIGHT_FLOOR,
     _step_point,
-    cluster_centroids,
     cluster_packet,
     find_mode_path,
     kernel_weight,
@@ -460,19 +459,6 @@ def test_labels_and_centroids_match_loop_reference():
         assert np.array_equal(lab.labels, labels)
         assert np.array_equal(lab.centroids, centroids)
         assert lab.masses.tolist() == [int(np.sum(labels == c)) for c in range(len(centroids))]
-
-
-def test_cluster_centroids_sparse_ids_and_noise():
-    labels = np.array([4, NOISE, 1, 4, 1, 1, NOISE])
-    x = np.array([10, 99, 0, 13, 2, 7, 50])
-    y = np.array([5, 99, 1, 6, 1, 1, 50])
-    ids, centroids, masses = cluster_centroids(labels, x, y)
-    assert ids.tolist() == [1, 4]
-    assert masses.tolist() == [3, 2]
-    assert np.array_equal(centroids, [[3.0, 1.0], [11.5, 5.5]])
-    ids, centroids, masses = cluster_centroids(np.full(3, NOISE), x[:3], y[:3])
-    assert len(ids) == len(masses) == 0
-    assert centroids.shape == (0, 2)
 
 
 def test_param_validation():

@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evshift
-from evshift import cli, io
+from evshift import cli, io, pipeline
+from evshift.clustering import cluster_packet
 from evshift.errors import EmptyAlignmentError
 from evshift.events import EventStream, SensorGeometry, make_packet
 from evshift.filtering import filter_stream
@@ -31,7 +32,7 @@ from evshift.io import (
     write_labeled_events,
     write_tracks,
 )
-from evshift.pipeline import cluster_packets, labeled_from_packets, track_labelings
+from evshift.pipeline import labeled_from_packets
 from evshift.scenes import build_scene
 from evshift.synth import generate
 from evshift.tracking import TrackerParams, TrackStatus
@@ -66,7 +67,7 @@ def whole_input_command(args):
         rows = read_labeled_events(args.input)
         if len(rows) == 0:
             raise EmptyAlignmentError("labeled event file is empty")
-        tracks, _ = track_labelings(rows, cfg.pipeline_params().tracker_params)
+        tracks, _ = tracking_oracle.track_labelings(rows, cfg.pipeline_params().tracker_params)
         write_tracks(args.out, tracks)
         counts = {"packets": len(np.unique(rows.packet_id)), "tracks": len({r.track_id for r in tracks}),
                   "confirmed_tracks": len({r.track_id for r in tracks if r.status == TrackStatus.CONFIRMED.value})}
@@ -80,7 +81,7 @@ def whole_input_command(args):
         else:
             size = params.packet_size  # sliced here, not cut by the code under test
             packets = [make_packet(events[s : s + size], geom, params.decay) for s in range(0, len(events), size)]
-            labelings = cluster_packets(packets, params.ms_params)
+            labelings = [cluster_packet(packet, params.ms_params) for packet in packets]
             write_labeled_events(args.out, labeled_from_packets(packets, labelings))
             counts = {"packets": len(packets), "clusters": sum(lab.n_clusters for lab in labelings),
                       "kernel_evals": sum(lab.ops_count for lab in labelings)}
@@ -231,16 +232,10 @@ def labeled_packets(draw):
     return LabeledEvents.concat(parts)
 
 
-def row_bits(rows):
-    """Track rows with every float as its bits."""
-    return [tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r)) for r in rows]
-
-
 @settings(max_examples=80, deadline=None)
 @given(rows=labeled_packets(), chunk_rows=st.sampled_from([1, 2, 3, 5, 8192]))
 def test_tracks_from_chunk_sums_equal_the_per_packet_loop(tmp_path_factory, rows, chunk_rows):
     want_rows, _ = tracking_oracle.track_labelings(rows, TrackerParams())
-    assert row_bits(track_labelings(rows, TrackerParams())[0]) == row_bits(want_rows)
     d = tmp_path_factory.mktemp("labels")
     lab, tracks, want = (str(d / name) for name in ("lab.csv", "tracks.csv", "want.csv"))
     write_labeled_events(lab, rows)
@@ -261,7 +256,7 @@ def test_decreasing_packet_ids_are_tracked_in_packet_order(tmp_path, small_chunk
     write_labeled_events(str(lab), rows)
     rc, out, _ = run(["track", "--in", str(lab), "--out", str(tracks)])
     assert rc == 0 and out.startswith("packets = 4\n")
-    write_tracks(str(want), track_labelings(rows, TrackerParams())[0])
+    write_tracks(str(want), tracking_oracle.track_labelings(rows, TrackerParams())[0])
     assert tracks.read_bytes() == want.read_bytes()
 
 
@@ -375,15 +370,15 @@ def test_a_read_fault_later_in_the_file_wins(tmp_path, small_chunks):
 
 @pytest.fixture
 def clustered(monkeypatch):
-    """The packets that reach cli.cluster_packets, in order."""
+    """The packets that reach pipeline.cluster_packet, in order."""
     packets = []
-    cluster_packets = cli.cluster_packets
+    cluster = pipeline.cluster_packet
 
-    def spy(batch, params):
-        packets.extend(batch)
-        return cluster_packets(batch, params)
+    def spy(packet, params):
+        packets.append(packet)
+        return cluster(packet, params)
 
-    monkeypatch.setattr(cli, "cluster_packets", spy)
+    monkeypatch.setattr(pipeline, "cluster_packet", spy)
     return packets
 
 

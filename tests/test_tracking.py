@@ -14,6 +14,7 @@ import tracking_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evshift.clustering import NOISE
 from evshift.errors import ContractViolationError, NumericalError
 from evshift.tracking import (
     MEASUREMENT_MATRIX,
@@ -343,3 +344,16 @@ def test_overflowing_prediction_raises_before_any_state_changes(gap):
     with pytest.raises(NumericalError):
         predict(track, gap, PARAMS)
     assert track.t == 0.0
+
+
+def test_cluster_centroids_sparse_ids_and_noise():
+    labels = np.array([4, NOISE, 1, 4, 1, 1, NOISE])
+    x = np.array([10, 99, 0, 13, 2, 7, 50])
+    y = np.array([5, 99, 1, 6, 1, 1, 50])
+    ids, centroids, masses = oracle.cluster_centroids(labels, x, y)
+    assert ids.tolist() == [1, 4]
+    assert masses.tolist() == [3, 2]
+    assert np.array_equal(centroids, [[3.0, 1.0], [11.5, 5.5]])
+    ids, centroids, masses = oracle.cluster_centroids(np.full(3, NOISE), x[:3], y[:3])
+    assert len(ids) == len(masses) == 0
+    assert centroids.shape == (0, 2)

@@ -3,17 +3,19 @@ the reference that its tests compare against bit for bit.
 
 Each track is one Track object with its own 4x4 matrices; dead tracks stay
 in the list.  track_labelings is the labels-to-tracks loop over whole
-packets with the per-packet centroids of cluster_centroids.
+packets with the per-packet centroids of cluster_centroids, the np.unique
+centroids that evshift.clustering.cluster_packet once computed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from evshift.clustering import cluster_centroids
+from evshift.clustering import NOISE
 from evshift.errors import ContractViolationError, NumericalError
 from evshift.io import LabeledEvents, TrackRow
 from evshift.tracking import (
@@ -25,6 +27,21 @@ from evshift.tracking import (
     process_noise,
     transition_matrix,
 )
+
+
+def cluster_centroids(labels, x, y) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean raw pixel position and event count of every labeled cluster.
+
+    Returns (ids, centroids, masses) in ascending cluster id order; NOISE
+    events are left out.  Each coordinate sum is exact for pixel indices,
+    so a centroid does not depend on event order.
+    """
+    labels = np.asarray(labels)
+    keep = labels != NOISE
+    ids, inverse, masses = np.unique(labels[keep], return_inverse=True, return_counts=True)
+    cx = np.bincount(inverse, weights=np.asarray(x)[keep], minlength=len(ids))
+    cy = np.bincount(inverse, weights=np.asarray(y)[keep], minlength=len(ids))
+    return ids, np.column_stack([cx, cy]) / masses[:, None], masses
 
 
 def make_track(track_id: int, m: Measurement, params: TrackerParams) -> Track:
@@ -197,3 +214,8 @@ def track_labelings(labeled: LabeledEvents, params: TrackerParams) -> Tuple[List
             raw = tr.last_measurement if fresh else (math.nan, math.nan)
             rows.append(TrackRow(t, tr.track_id, *map(float, tr.state), tr.status.value, *map(float, raw)))
     return rows, tracker
+
+
+def row_bits(rows: List[TrackRow]) -> list:
+    """Track rows with every float as its bits."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r)) for r in rows]
