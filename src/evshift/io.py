@@ -6,17 +6,18 @@ labels and center trajectories are CSV files whose columns are declared
 once, as (name, kind) pairs, and that one reader and one writer serve.
 Every file is UTF-8 text.
 
-Every reader takes a file in chunks of _CHUNK_ROWS lines: event_chunks and
-labeled_chunks hand them out one at a time, so that a command can stream a
-file of any length, and the whole-file readers concatenate them.  A chunk
-is parsed by one np.loadtxt call, which builds no Python object per line,
-or, where loadtxt does not take it or csv and loadtxt would part ways, by
-the per-line code that defines the format, from the chunk's first line on.
-loadtxt accepts a strict subset of what the per-line code accepts, with the
-same values (its float parse is Python's).  A file whose line 1 is not its
-header is read whole by the per-line reader.  A fault in a chunk raises the
-error that the per-line reader raises for the whole file, which it reads
-again: the error and its line do not depend on where the chunks begin.
+Every reader reads each line of its file once, in chunks of _CHUNK_ROWS
+lines: event_chunks and labeled_chunks hand them out one at a time, so that
+a command can stream a file of any length, and the whole-file readers
+concatenate them.  A chunk is parsed by one np.loadtxt call, which builds
+no Python object per line, or, where loadtxt does not take it or csv and
+loadtxt would part ways, by the per-line code that defines the format, from
+the chunk's first line on.  loadtxt accepts a strict subset of what the
+per-line code accepts, with the same values (its float parse is Python's).
+A fault that no later line can outrank raises at once; any other stops the
+chunks, and the gravest raises at the end of the file, so that the error
+and its line do not depend on where the chunks begin.  Only an event file
+with an event before its header is read whole at once.
 
 Writers stream chunks of rows into a temp file that is then renamed over
 the target, so readers never observe a partial file and no writer holds
@@ -33,7 +34,7 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, NoReturn, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -67,31 +68,36 @@ def atomic_write_text(path: str, pieces: Iterable[str]) -> None:
         raise
 
 
+def _is_utf8(text: str) -> bool:
+    """Whether text read with errors="surrogateescape" held only UTF-8 bytes."""
+    try:
+        return text.isascii() or bool(text.encode("utf-8"))
+    except UnicodeEncodeError:
+        return False
+
+
 def _utf8_error(path: str, line_no: int, raw: str) -> Optional[ParseError]:
-    """The ParseError for a line read with errors="surrogateescape" that held
-    a byte that is not UTF-8, else None."""
-    if not raw.isascii():
-        try:
-            raw.encode("utf-8")
-        except UnicodeEncodeError:
-            return ParseError(path, line_no, "not valid UTF-8 text")
-    return None
+    """The ParseError for a line that held a byte that is not UTF-8, else None."""
+    return None if _is_utf8(raw) else ParseError(path, line_no, "not valid UTF-8 text")
 
 
 def read_lines(path: str) -> List[str]:
-    """The lines of a UTF-8 text file, newlines translated as in text mode.
-
-    A path that is not a file raises FileNotFoundError, a byte that is not
-    UTF-8 a ParseError naming its line.
-    """
+    """The lines of a UTF-8 text file, newlines translated as in text mode.  A
+    path that is not a file raises FileNotFoundError, a byte that is not
+    UTF-8 a ParseError naming its line."""
     if not os.path.isfile(path):
         raise FileNotFoundError(path)
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        lines = fh.readlines()
-    for line_no, raw in enumerate(lines, start=1):
+        return list(_checked(path, fh, 1))
+
+
+def _checked(path: str, lines: Iterable[str], first: int) -> Iterator[str]:
+    """Text `lines`, the first of them line `first` of `path`; a byte that is
+    not UTF-8 raises ParseError at its line."""
+    for line_no, raw in enumerate(lines, start=first):
         if exc := _utf8_error(path, line_no, raw):
             raise exc
-    return lines
+        yield raw
 
 
 class _NotFinite(ValueError):
@@ -107,19 +113,28 @@ def finite(text: str) -> float:
     return v
 
 
-_BULK_DTYPE = {float: "f8", finite: "f8", int: "i8", str: object}
+# The array dtype of each column kind.  An unsized 'U' field reads every
+# string as '' in np.loadtxt (numpy 2.4); object keeps each field.
+_DTYPE = {float: "f8", finite: "f8", int: "i8", str: object}
+
+# Characters on which csv and loadtxt part ways: a quote, which csv reads
+# as quoting, and the ASCII separators that loadtxt strips around a number
+# as whitespace and float() and int() do not.
+_CSV_ONLY_CHARS = '"\x1c\x1d\x1e\x1f'
 
 
 def _bulk_columns(lines: List[str], columns: Columns, delimiter: Optional[str]) -> Optional[List[np.ndarray]]:
     """Text `lines` as one array per column of `columns`, parsed in one
     np.loadtxt call split on `delimiter` (None: runs of whitespace), or None
-    where loadtxt raises or warns (lines that are all blank warn) or a
-    `finite` column holds NaN or an infinity.
-    loadtxt's comment and quote handling are off: a `#` or a quote makes a
-    value it rejects, or, in a str column, part of the value.
+    where a line holds a byte that is not UTF-8 or one of _CSV_ONLY_CHARS,
+    loadtxt raises or warns (lines that are all blank warn) or a `finite`
+    column holds NaN or an infinity.  loadtxt's comment handling is off: a
+    `#` makes a value it rejects, or, in a str column, part of the value.
     """
-    # An unsized 'U' field reads every string as '' (numpy 2.4); object keeps each field.
-    dtype = [(name, _BULK_DTYPE[kind]) for name, kind in columns]
+    text = "".join(lines)
+    if not _is_utf8(text) or any(c in text for c in _CSV_ONLY_CHARS):
+        return None
+    dtype = [(name, _DTYPE[kind]) for name, kind in columns]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -131,19 +146,12 @@ def _bulk_columns(lines: List[str], columns: Columns, delimiter: Optional[str]) 
     return [table[name].astype(str) if kind is str else table[name].copy() for name, kind in columns]
 
 
-def _numbered_chunks(fh, first: int) -> Iterator[Tuple[int, List[str]]]:
-    """(number of its first line, lines) of each run of _CHUNK_ROWS lines
-    left in the open text file `fh`, whose next line is line `first`."""
-    while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
-        yield first, lines
-        first += len(lines)
-
-
-def _raise_per_line_error(read: Callable, path: str, *args) -> NoReturn:
-    """Raise the error that the whole-file per-line reader `read` raises for
-    `path`, a file in which a chunk showed a fault."""
-    read(path, *args)
-    raise AssertionError(f"{path}: a chunk fault that the per-line reader does not see")
+def _numbered_chunks(lines: Iterable[str], first: int) -> Iterator[Tuple[int, List[str]]]:
+    """(number of its first line, lines) of each run of _CHUNK_ROWS text
+    `lines`, the first of them line `first`."""
+    while chunk := list(itertools.islice(lines, _CHUNK_ROWS)):
+        yield first, chunk
+        first += len(chunk)
 
 
 def write_events(path: str, events: Iterable[Event], geom: SensorGeometry) -> None:
@@ -159,14 +167,23 @@ def event_lines(s: EventStream) -> Iterator[str]:
     return _lines(EVENT_COLUMNS, [s.t, s.x, s.y, s.p], sep=" ")
 
 
-def _event_faults(t: np.ndarray, p: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per event: timestamp not finite and >= 0, polarity not 0 or 1, and
-    timestamp earlier than the previous event's."""
+def _rule_error(path: str, cols, line_of: Sequence[int], prev: float = -np.inf, n: int = 0):
+    """The error of the first of events `cols` (t, x, y, p), on lines
+    `line_of` of `path` after n events, with a timestamp not finite and >= 0
+    or a polarity not 0 or 1 (ParseError), or a timestamp earlier than the
+    one before it, `prev` before the first (StreamOrderError); or None."""
+    t, _, _, p = cols
     bad_t = ~np.isfinite(t) | (t < 0)
     bad_p = (p != 0) & (p != 1)
-    back = np.zeros(len(t), dtype=bool)
-    back[1:] = t[1:] < t[:-1]
-    return bad_t, bad_p, back
+    back = t < np.concatenate([[prev], t[:-1]])
+    if not (failing := bad_t | bad_p | back).any():
+        return None
+    i = int(np.argmax(failing))
+    if bad_t[i]:
+        return ParseError(path, line_of[i], f"event timestamp must be finite and >= 0, got {t[i]}")
+    if bad_p[i]:
+        return ParseError(path, line_of[i], f"polarity must be 0 or 1, got {p[i]}")
+    return StreamOrderError(n + i, f"{path}:{line_of[i]}: timestamp {_fmt(t[i])} is earlier than the previous event's")
 
 
 def read_events(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[EventStream, SensorGeometry]:
@@ -190,41 +207,67 @@ def event_chunks(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[Sens
     chunks of up to _CHUNK_ROWS lines, none of them empty; read_events(path,
     geom) is their concatenation, and raises the errors that they raise.
 
-    A file with its `# W H` header on line 1 is read as the chunks are
-    iterated, and a chunk's fault raises from the iterator.  Any other
-    file is read at once.  A path that is not a file raises
-    FileNotFoundError.
+    The lines up to the header are read at once, the rest as the chunks are
+    iterated, and a fault there raises from the iterator; a file with an
+    event before its header is read whole at once.  A path that is not a file
+    raises FileNotFoundError.
     """
     if not os.path.isfile(path):
         raise FileNotFoundError(path)
+    chunks = _event_chunks(path, geom)
+    return next(chunks), chunks
+
+
+def _event_chunks(path: str, geom: Optional[SensorGeometry]) -> Iterator:
+    """event_chunks as one generator: the geometry, then the chunks.  A
+    malformed line or a broken rule raises at once; an event outside the
+    sensor stops the chunks and raises at the end of the file."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        _, _, file_geom, malformed = _parse_event_lines(path, [fh.readline()], 1)
-    if file_geom is None or malformed:
-        stream, file_geom = _read_events_per_line(path, geom)
-        return file_geom, iter([stream] if len(stream) else [])
+        file_geom, n, last = None, 0, -np.inf  # n events so far, the newest at time last
 
-    def chunks() -> Iterator[EventStream]:
-        last = -np.inf
-        try:
-            with open(path, encoding="utf-8") as fh:
-                fh.readline()
-                for first, lines in _numbered_chunks(fh, 2):
-                    if (cols := _bulk_columns(lines, EVENT_COLUMNS, None)) is None:
-                        cols, _, _, malformed = _parse_event_lines(path, lines, first, file_geom)
-                        if malformed:
-                            _raise_per_line_error(_read_events_per_line, path)
-                    t, x, y, p = cols
-                    if len(t) == 0:
-                        continue
-                    bad_t, bad_p, back = _event_faults(t, p)
-                    if t[0] < last or (bad_t | bad_p | back).any() or not file_geom.contains(x, y).all():
-                        _raise_per_line_error(_read_events_per_line, path)
-                    last = t[-1]
-                    yield EventStream(t, x, y, p)
-        except UnicodeDecodeError:
-            _raise_per_line_error(_read_events_per_line, path)
+        def parse(first: int, lines: List[str]):
+            """The columns of a chunk and the line of each event."""
+            nonlocal file_geom, n, last
+            cols, malformed = file_geom and _bulk_columns(lines, EVENT_COLUMNS, None), None
+            if cols and len(cols[0]) == len(lines):  # no blank line: event i is on line first + i
+                line_of = range(first, first + len(lines))
+            else:
+                cols, line_of, file_geom, malformed = _parse_event_lines(path, lines, first, file_geom)
+            if exc := _rule_error(path, cols, line_of, last, n) or malformed:
+                raise exc
+            n, last = n + len(cols[0]), cols[0][-1] if len(cols[0]) else last
+            return cols, line_of
 
-    return file_geom, chunks()
+        held, first = [], 1  # the chunks up to the header, which gives the geometry of their events
+        for raw in iter(fh.readline, ""):  # one line at a time up to the header or the first event
+            cols, line_of = parse(first, [raw])
+            first += 1
+            if file_geom or len(cols[0]):
+                held.append((cols, line_of))
+                break
+        chunks = itertools.starmap(parse, _numbered_chunks(fh, first))
+        while file_geom is None and (chunk := next(chunks, None)):
+            held.append(chunk)
+        if (geom := file_geom or geom) is None:
+            raise ParseError(path, 1, "no '# WIDTH HEIGHT' geometry header and no fallback geometry given")
+        yield geom
+        outside = None
+        for (t, x, y, p), line_of in itertools.chain(held, chunks):
+            if outside is None and not (inside := geom.contains(x, y)).all():
+                i = int(np.argmin(inside))
+                outside = ParseError(path, line_of[i], f"event at ({x[i]}, {y[i]}) outside {geom.width}x{geom.height}")
+            if outside is None and len(t):
+                yield EventStream(t, x, y, p)
+        if outside:
+            raise outside
+
+
+def _int_column(values: List[int]) -> np.ndarray:
+    """Ints as int64, or as an object array where one overflows int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 def _parse_event_lines(path: str, lines: Iterable[str], first: int, file_geom: Optional[SensorGeometry] = None):
@@ -268,35 +311,8 @@ def _parse_event_lines(path: str, lines: Iterable[str], first: int, file_geom: O
         ys.append(y)
         ps.append(p)
         line_of.append(line_no)
-    # An int beyond int64 stays exact or becomes a float, and fails the polarity or the sensor check.
-    cols = np.array(ts, dtype=np.float64), np.array(xs), np.array(ys), np.array(ps)
+    cols = np.array(ts, dtype=np.float64), _int_column(xs), _int_column(ys), _int_column(ps)
     return cols, line_of, file_geom, malformed
-
-
-def _read_events_per_line(path: str, geom: Optional[SensorGeometry] = None) -> Tuple[EventStream, SensorGeometry]:
-    """read_events one line at a time: the definition of the format, and the
-    reader that names the line of each error."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        (t, x, y, p), line_of, file_geom, malformed = _parse_event_lines(path, fh, 1)
-    # The per-line rules on the rows before the malformed line, if any.
-    bad_t, bad_p, back = _event_faults(t, p)
-    if (failing := bad_t | bad_p | back).any():
-        i = int(np.argmax(failing))
-        if bad_t[i]:
-            raise ParseError(path, line_of[i], f"event timestamp must be finite and >= 0, got {t[i]}")
-        if bad_p[i]:
-            raise ParseError(path, line_of[i], f"polarity must be 0 or 1, got {p[i]}")
-        raise StreamOrderError(i, f"{path}:{line_of[i]}: timestamp {_fmt(t[i])} is earlier than the previous event's")
-    if malformed:
-        raise malformed
-    use_geom = file_geom or geom
-    if use_geom is None:
-        raise ParseError(path, 1, "no '# WIDTH HEIGHT' geometry header and no fallback geometry given")
-    outside = ~use_geom.contains(x, y)
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise ParseError(path, line_of[i], f"event at ({x[i]}, {y[i]}) outside {use_geom.width}x{use_geom.height}")
-    return EventStream(t, x, y, p), use_geom
 
 
 # A CSV format: its (column name, kind) pairs in file order, kind being
@@ -426,9 +442,6 @@ def read_centers(path: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, obj, np.stack([cx, cy], axis=1)
 
 
-_DTYPE = {float: np.float64, finite: np.float64, int: np.int64}
-
-
 def _parse(kind: type, values: List[str]) -> np.ndarray:
     """One column's text as an array; a value `kind` rejects, or an int
     outside int64, raises ValueError or OverflowError."""
@@ -437,107 +450,92 @@ def _parse(kind: type, values: List[str]) -> np.ndarray:
     return np.fromiter(map(kind, values), dtype=_DTYPE[kind], count=len(values))
 
 
-# Characters on which csv and loadtxt part ways: a quote, which csv reads
-# as quoting, and the ASCII separators that loadtxt strips around a number
-# as whitespace and float() and int() do not.
-_CSV_ONLY_CHARS = '"\x1c\x1d\x1e\x1f'
-
-
 def _read_csv(path: str, columns: Columns) -> List[np.ndarray]:
-    """The columns of a CSV file with header `columns`, each parsed as its kind.
-
-    Blank lines are skipped.  A wrong header, a wrong field count, a byte
-    that is not UTF-8 or a value its column's kind rejects (`3.7`, `nan` or
-    `1e20` in an int column, say) raises ParseError naming the line.  A path
-    that is not a file raises FileNotFoundError.
-    """
+    """The columns of a CSV file with header `columns`, each parsed as its
+    kind.  Blank lines are skipped.  A wrong header, a wrong field count, a
+    byte that is not UTF-8 or a value its column's kind rejects (`3.7`, `nan`
+    or `1e20` in an int column, say) raises ParseError naming the line.  A
+    path that is not a file raises FileNotFoundError."""
     no_rows = [_parse(kind, []) for _, kind in columns]
     return list(map(np.concatenate, zip(no_rows, *_csv_chunks(path, columns))))
 
 
+# Ranks of the CSV faults that wait for the end of the file, gravest first;
+# a rejected value ranks _VALUE plus the index of its column.
+_SPANS, _COUNT, _VALUE = range(3)
+
+
 def _csv_chunks(path: str, columns: Columns) -> Iterator[List[np.ndarray]]:
     """The columns of a CSV file with header `columns` in chunks of up to
-    _CHUNK_ROWS lines, none of them empty; _read_csv concatenates them, and
-    raises the errors that they raise.  A file whose line 1 is not exactly
-    the header is read whole at the first chunk.
-    """
+    _CHUNK_ROWS lines, none of them empty; _read_csv concatenates them.  A
+    wrong header, a byte that is not UTF-8 or a csv error raises at once.
+    Any other fault stops the chunks and raises at the end of the file: the
+    first field that spans lines, else the first row of a wrong field count,
+    else the first value rejected in the lowest column."""
     if not os.path.isfile(path):
         raise FileNotFoundError(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            if fh.readline() != csv_header(columns):
-                cols = _read_csv_per_line(path, columns)
-                if len(cols[0]):
-                    yield cols
-                return
-            for first, lines in _numbered_chunks(fh, 2):
-                text = "".join(lines)
-                cols = None if any(c in text for c in _CSV_ONLY_CHARS) else _bulk_columns(lines, columns, ",")
-                if cols is None:
-                    try:
-                        rows, line_nos = _csv_rows(path, lines, first, len(columns))
-                        cols = _csv_columns(path, columns, rows, line_nos)
-                    except ParseError:
-                        _raise_per_line_error(_read_csv_per_line, path, columns)
-                    # A quoted field still open at the end of the chunk spans lines, unless the file ends there.
-                    if rows and rows[-1][-1].endswith("\n") and fh.readline():
-                        _raise_per_line_error(_read_csv_per_line, path, columns)
-                if len(cols[0]):
-                    yield cols
-    except UnicodeDecodeError:
-        _raise_per_line_error(_read_csv_per_line, path, columns)
-
-
-def _read_csv_per_line(path: str, columns: Columns) -> List[np.ndarray]:
-    """_read_csv through csv.reader and one conversion per value: the
-    definition of the format, and the reader that names the line of each
-    error."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        rows, line_nos = _csv_rows(path, fh, 1, len(columns), _names(columns))
-    return _csv_columns(path, columns, rows, line_nos)
+        if (head := fh.readline()) != csv_header(columns):  # csv takes as many lines as its quotes span
+            found = next(_csv_records(path, itertools.chain([head], fh) if head else fh, 1), None)
+            if found != _names(columns):
+                raise ParseError(path, 1, f"expected header {_names(columns)}, got {found}")
+        fault = None  # (rank, ParseError) of the gravest fault so far
+        for first, lines in _numbered_chunks(fh, 2):
+            if (cols := _bulk_columns(lines, columns, ",")) is None:
+                rows, line_nos, found = _csv_rows(path, lines, first, len(columns))
+                if rows and rows[-1][-1].endswith("\n") and (more := fh.readline()):
+                    # A quote left open at the end of the chunk takes in the next line.  csv
+                    # reads on from the first row that spans lines to the end of the file.
+                    if found is None or found[0] != _SPANS:
+                        found = _SPANS, ParseError(path, int(line_nos[-1]), "field spans lines")
+                    start = found[1].line_no
+                    for _ in _csv_records(path, itertools.chain(lines[start - first :], [more], fh), start):
+                        pass
+                elif found is None:
+                    cols, exc = _csv_columns(path, columns, rows, line_nos)
+                    found = exc and (_VALUE + len(cols), exc)
+                if found and (fault is None or found[0] < fault[0]):
+                    fault = found
+            if fault is None and len(cols[0]):
+                yield cols
+        if fault:
+            raise fault[1]
 
 
-def _csv_rows(path: str, lines: Iterable[str], first: int, width: int, header: Optional[List[str]] = None):
-    """The rows of CSV text `lines`, the first of them line `first` of
-    `path`, after `header` if one is given, without the blank ones, and the
-    line of each.  A wrong header, a byte that is not UTF-8, a csv error, a
-    field that spans lines or a row of other than `width` fields raises
-    ParseError naming the line."""
-
-    def checked():
-        for line_no, raw in enumerate(lines, start=first):
-            if exc := _utf8_error(path, line_no, raw):
-                raise exc
-            yield raw
-
-    reader = csv.reader(checked())
+def _csv_records(path: str, lines: Iterable[str], first: int) -> Iterator[List[str]]:
+    """csv.reader over text `lines`, the first of them line `first` of `path`;
+    a byte that is not UTF-8 or a csv error raises ParseError at its line."""
+    reader = csv.reader(_checked(path, lines, first))
     try:
-        if header and (found := next(reader, None)) != header:
-            raise ParseError(path, first, f"expected header {header}, got {found}")
-        done = reader.line_num
-        rows = list(reader)
+        yield from reader
     except csv.Error as exc:
         raise ParseError(path, first - 1 + reader.line_num, str(exc)) from exc
-    # rows[i] came from line first + done + i unless a quoted field spanned
-    # lines, which no format allows: report the first such row.
-    first += done
-    if reader.line_num != done + len(rows):
-        i = next(i for i, r in enumerate(rows) if any("\n" in f for f in r))
-        raise ParseError(path, first + i, "field spans lines")
+
+
+def _csv_rows(path: str, lines: List[str], first: int, width: int):
+    """The rows of CSV text `lines`, the first of them line `first` of `path`,
+    without the blank ones, the line of each, and their gravest fault as
+    (rank, ParseError) or None: the first field that spans lines, which no
+    format allows, else the first row of other than `width` fields."""
+    rows = list(_csv_records(path, lines, first))
     sizes = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    bad = np.flatnonzero((sizes != width) & (sizes != 0))
-    if bad.size:
-        raise ParseError(path, first + int(bad[0]), f"expected {width} fields, got {sizes[bad[0]]}")
+    found = None
+    # rows[i] came from line first + i up to the first row that spans lines
+    if len(rows) < len(lines):
+        i = next(i for i, r in enumerate(rows) if any("\n" in f for f in r))
+        found = _SPANS, ParseError(path, first + i, "field spans lines")
+    elif (bad := np.flatnonzero((sizes != width) & (sizes != 0))).size:
+        found = _COUNT, ParseError(path, first + int(bad[0]), f"expected {width} fields, got {sizes[bad[0]]}")
     line_nos = np.flatnonzero(sizes) + first
     if len(line_nos) < len(rows):
         rows = [r for r in rows if r]
-    return rows, line_nos
+    return rows, line_nos, found
 
 
-def _csv_columns(path: str, columns: Columns, rows: List[List[str]], line_nos: np.ndarray) -> List[np.ndarray]:
-    """The values of `rows`, from lines `line_nos` of `path`, as one array
-    per column of `columns`.  The first value its kind rejects, column by
-    column, raises ParseError naming the line."""
+def _csv_columns(path: str, columns: Columns, rows: List[List[str]], line_nos: np.ndarray):
+    """The values of `rows`, from lines `line_nos` of `path`, as one array per
+    column of `columns`, and None; or, where a kind rejects a value, the
+    arrays before that column and the ParseError of its first such value."""
     out = []
     for c, (name, kind) in enumerate(columns):
         values = [r[c] for r in rows]
@@ -549,8 +547,8 @@ def _csv_columns(path: str, columns: Columns, rows: List[List[str]], line_nos: n
                     _parse(kind, [v])
                 except (ValueError, OverflowError) as exc:
                     rule = "finite" if isinstance(exc, _NotFinite) else "float" if kind is finite else kind.__name__
-                    raise ParseError(path, int(line_nos[i]), f"{name} must be {rule}, got {v!r}") from exc
-    return out
+                    return out, ParseError(path, int(line_nos[i]), f"{name} must be {rule}, got {v!r}")
+    return out, None
 
 
 # printf-style, which formats a row of reprs faster than str.format's "{!r}"
@@ -561,7 +559,7 @@ def _values(kind: type, col) -> list:
     """A column slice as Python values of `kind`: kind(v) for each v, which
     for an array of the kind's own dtype is what tolist() gives."""
     if isinstance(col, np.ndarray):
-        if kind in _DTYPE and col.dtype == _DTYPE[kind]:
+        if col.dtype == _DTYPE[kind]:
             return col.tolist()
         col = col.tolist()
     return list(map(kind, col))

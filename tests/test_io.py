@@ -3,6 +3,7 @@ import math
 import os
 import warnings
 
+import io_oracle
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -357,6 +358,17 @@ def test_labeled_t_must_be_finite(tmp_path, monkeypatch, chunk_rows, bad):
             assert repr(bad) in str(info.value)
 
 
+@pytest.mark.parametrize("chunk_rows", [1, io._CHUNK_ROWS])
+def test_an_int_beyond_int64_leaves_the_other_events_as_written(tmp_path, monkeypatch, chunk_rows):
+    # numpy reads [12, 2**63] as floats; the error names line 2 as written at any chunk size
+    monkeypatch.setattr(io, "_CHUNK_ROWS", chunk_rows)
+    path = tmp_path / "ev.txt"
+    path.write_text(f"# 10 10\n0.0 12 0 0\n0.25 {2**63} 0 0\n")
+    with pytest.raises(ParseError) as info:
+        read_events(str(path))
+    assert str(info.value) == f"{path}:2: event at (12, 0) outside 10x10"
+
+
 def _ints():
     # Small and negative ids, and ints beyond 2**53 that float64 cannot hold.
     return st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1), st.just(2**53 + 1))
@@ -675,7 +687,7 @@ def test_event_reader_equals_per_line_reader(tmp_path_factory, case, chunk_rows)
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(io, "_CHUNK_ROWS", chunk_rows)
-        assert outcome(read_events, str(path), geom) == outcome(io._read_events_per_line, str(path), geom)
+        assert outcome(read_events, str(path), geom) == outcome(io_oracle.read_events_per_line, str(path), geom)
 
 
 @pytest.mark.parametrize("name", sorted(FORMATS))
@@ -704,7 +716,7 @@ def test_csv_reader_equals_per_line_reader(tmp_path_factory, name, data, chunk_r
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(io, "_CHUNK_ROWS", chunk_rows)
-        assert outcome(io._read_csv, str(path), columns) == outcome(io._read_csv_per_line, str(path), columns)
+        assert outcome(io._read_csv, str(path), columns) == outcome(io_oracle.read_csv_per_line, str(path), columns)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
@@ -715,4 +727,4 @@ def test_quote_left_open_at_the_end_of_a_chunk(tmp_path, monkeypatch, chunk_rows
     for rest in ("", "0.3,1,2,0,0,1\n"):
         with open(path, "w") as fh:
             fh.write('t,x,y,p,packet_id,cluster_id\n0.1,1,2,0,0,1\n0.2,1,2,0,0,"1\n' + rest)
-        assert outcome(io._read_csv, path, io.LABELED_COLUMNS) == outcome(io._read_csv_per_line, path, io.LABELED_COLUMNS)
+        assert outcome(io._read_csv, path, io.LABELED_COLUMNS) == outcome(io_oracle.read_csv_per_line, path, io.LABELED_COLUMNS)

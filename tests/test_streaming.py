@@ -12,6 +12,7 @@ import subprocess
 import sys
 import textwrap
 
+import io_oracle
 import numpy as np
 import pytest
 import tracking_oracle
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import evshift
 from evshift import cli, io, pipeline
 from evshift.clustering import cluster_packet
-from evshift.errors import EmptyAlignmentError
+from evshift.errors import EmptyAlignmentError, ParseError
 from evshift.events import EventStream, SensorGeometry, make_packet
 from evshift.filtering import filter_stream
 from evshift.io import (
@@ -368,6 +369,39 @@ def test_a_read_fault_later_in_the_file_wins(tmp_path, small_chunks):
     assert rc == 4 and f"{lab}:10: t must be float" in err
 
 
+def test_a_fault_after_a_commented_header_raises_from_the_chunks_of_one_read(tmp_path, monkeypatch):
+    monkeypatch.setattr(io, "_CHUNK_ROWS", 2)
+    opened = []
+
+    def counted_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counted_open, raising=False)
+    # lines 4-10 are events, line 11 is malformed; the chunks start at line 4
+    events, labeled = tmp_path / "ev.txt", tmp_path / "lab.csv"
+    events.write_text("# note\n\n# 10 10\n" + "".join(f"0.{i} {i} 1 {i % 2}\n" for i in range(1, 8)) + "0.8 1 1\n")
+    geom, chunks = io.event_chunks(str(events))
+    assert geom == SensorGeometry(10, 10) and opened == [str(events)]
+    got = []
+    with pytest.raises(ParseError) as info:
+        got.extend(chunks)
+    with pytest.raises(ParseError) as want:
+        io_oracle.read_events_per_line(str(events))
+    assert (info.value.line_no, str(info.value)) == (11, str(want.value))
+    assert [e.x for chunk in got for e in chunk] == [1, 2, 3, 4, 5, 6]
+    # the same for a labeled file, whose rows end in a row of five fields
+    rows = "".join(f"0.{i},1,1,0,0,0\n" for i in range(1, 8))
+    labeled.write_text("t,x,y,p,packet_id,cluster_id\n" + rows + "0.8,1,1,0,0\n")
+    got = []
+    with pytest.raises(ParseError) as info:
+        got.extend(io.labeled_chunks(str(labeled)))
+    with pytest.raises(ParseError) as want:
+        io_oracle.read_csv_per_line(str(labeled), io.LABELED_COLUMNS)
+    assert (info.value.line_no, str(info.value)) == (9, str(want.value))
+    assert sum(map(len, got)) == 6 and opened == [str(events), str(labeled)]
+
+
 @pytest.fixture
 def clustered(monkeypatch):
     """The packets that reach pipeline.cluster_packet, in order."""
@@ -413,8 +447,8 @@ def test_a_comment_clusters_each_packet_once(tmp_path, monkeypatch, clustered, c
 MEASURE = textwrap.dedent("""
     import contextlib, io, sys
     from evshift.cli import main
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(sys.argv[1:]) == 0
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(sys.argv[2:]) == int(sys.argv[1])
     print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
 """)
 
@@ -422,8 +456,10 @@ MEASURE = textwrap.dedent("""
 @pytest.fixture(scope="module")
 def repeated_reference(tmp_path_factory):
     """The reference events and their generator labels, repeated 1x and 4x
-    with shifted times: {repeats: (events path, labeled path, labeled path
-    with every row in packet 0)}."""
+    with shifted times: {repeats: {input name: path}}.  The inputs are the
+    events, the same with a comment on line 1 and with a bad last line, the
+    labeled rows, the same with a bad last line, and the labeled rows with
+    every row in packet 0."""
     gen = generate(build_scene("reference"))
     s = gen.events
     span = float(s.t[-1]) + 0.01
@@ -432,24 +468,39 @@ def repeated_reference(tmp_path_factory):
     for k in (1, 4):
         t = np.concatenate([s.t + i * span for i in range(k)])
         x, y, p = (np.tile(c, k) for c in (s.x, s.y, s.p))
-        events, labeled, one_packet = (str(d / f"{name}{k}.{ext}") for name, ext in
-                                       (("ev", "txt"), ("lab", "csv"), ("one", "csv")))
-        write_events(events, EventStream(t, x, y, p), gen.geometry)
-        write_labeled_events(labeled, LabeledEvents(t, x, y, p, np.arange(len(t)) // 500, np.tile(gen.labels, k)))
-        write_labeled_events(one_packet, LabeledEvents(t, x, y, p, np.zeros(len(t), dtype=int), np.tile(gen.labels, k)))
-        paths[k] = events, labeled, one_packet
+        names = ("events", "commented", "bad events", "labeled", "bad labeled", "one packet")
+        paths[k] = {name: str(d / f"{name.replace(' ', '_')}{k}") for name in names}
+        write_events(paths[k]["events"], EventStream(t, x, y, p), gen.geometry)
+        for name, packet_id in (("labeled", np.arange(len(t)) // 500), ("one packet", np.zeros(len(t), dtype=int))):
+            write_labeled_events(paths[k][name], LabeledEvents(t, x, y, p, packet_id, np.tile(gen.labels, k)))
+        events, labeled = (open(paths[k][name]).read() for name in ("events", "labeled"))
+        open(paths[k]["commented"], "w").write("# a note\n" + events)
+        open(paths[k]["bad events"], "w").write(events + "0.5 1 1\n")
+        open(paths[k]["bad labeled"], "w").write(labeled + "0.5,1,1,0,0\n")
     return paths
 
 
-@pytest.mark.parametrize("command", ["filter", "cluster", "track", "track one packet"])
-def test_peak_memory_does_not_grow_with_the_stream(tmp_path, repeated_reference, command):
+# case -> (command, input, exit code): the faults exit 4 at the last line
+MEMORY_CASES = {
+    "filter": ("filter", "events", 0),
+    "cluster": ("cluster", "events", 0),
+    "track": ("track", "labeled", 0),
+    "track one packet": ("track", "one packet", 0),
+    "filter, comment on line 1": ("filter", "commented", 0),
+    "filter, bad last line": ("filter", "bad events", 4),
+    "track, bad last line": ("track", "bad labeled", 4),
+}
+
+
+@pytest.mark.parametrize("case", list(MEMORY_CASES))
+def test_peak_memory_does_not_grow_with_the_stream(tmp_path, repeated_reference, case):
+    command, source, code = MEMORY_CASES[case]
     peaks = {}
-    for k, (events, labeled, one_packet) in repeated_reference.items():
+    for k, paths in repeated_reference.items():
         extra = ["--max-iters", "2"] if command == "cluster" else []
-        source = {"track": labeled, "track one packet": one_packet}.get(command, events)
-        argv = [command.split()[0], "--in", source, "--out", str(tmp_path / "out"), *extra]
+        argv = [command, "--in", paths[source], "--out", str(tmp_path / "out"), *extra]
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
-        res = subprocess.run([sys.executable, "-c", MEASURE, *argv], env=env, capture_output=True, text=True,
+        res = subprocess.run([sys.executable, "-c", MEASURE, str(code), *argv], env=env, capture_output=True, text=True,
                              check=True)
         peaks[k] = int(res.stdout.split()[-1])
     assert peaks[4] <= 1.10 * peaks[1], peaks
