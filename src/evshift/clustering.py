@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ContractViolationError, require_finite
+from .errors import ContractViolationError, require_finite, require_integer
 from .events import Packet
 
 NOISE = -1
@@ -63,6 +63,8 @@ class MeanShiftParams:
 
     def __post_init__(self):
         require_finite(self)
+        require_integer(self.max_iters, "max_iters")
+        require_integer(self.min_cluster_size, "min_cluster_size")
         if not (self.bandwidth_h >= MIN_BANDWIDTH):
             raise ContractViolationError(f"bandwidth must be >= {MIN_BANDWIDTH}, got {self.bandwidth_h}")
         if not (self.epsilon > 0):
@@ -166,27 +168,6 @@ def _squared_diff(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     out *= out
 
 
-def _lift(seeds: np.ndarray, snapshot: np.ndarray, h: float, lhs: np.ndarray, rhs: np.ndarray) -> None:
-    """Write the two factors of the kernel exponent, lhs @ rhs = -||y - s||^2 / 2.
-
-    y and s are the seeds and the snapshot points, centred on the snapshot's
-    column mean and divided by h.  Rows [y, -||y||^2 / 2, 1] go into the
-    first len(seeds) rows of lhs, and the rows after them up to the next
-    whole tile are zeroed.  rhs gets [s^T; 1; -||s||^2 / 2], except row 4:
-    the caller fills it with ones once.
-    """
-    m = len(seeds)
-    centre = np.add.reduce(snapshot, axis=0) / len(snapshot)
-    ys = (seeds - centre) / h
-    ss = (snapshot - centre) / h
-    lhs[:m, :4] = ys
-    lhs[:m, 4] = -0.5 * np.einsum("ij,ij->i", ys, ys)
-    lhs[:m, 5] = 1.0
-    lhs[m : -(-m // _TILE) * _TILE] = 0.0
-    rhs[:4] = ss.T
-    rhs[5] = -0.5 * np.einsum("ij,ij->i", ss, ss)
-
-
 def _seek_tile(lhs: np.ndarray, rhs: np.ndarray, snapshot: np.ndarray, rows: int, w: np.ndarray,
                sums: np.ndarray, total: np.ndarray) -> None:
     """Kernel-weighted snapshot sums for one tile of _TILE seeds.
@@ -195,11 +176,13 @@ def _seek_tile(lhs: np.ndarray, rhs: np.ndarray, snapshot: np.ndarray, rows: int
     `rows` zero; rhs holds the lifted snapshot as [s^T; 1; -||s||^2 / 2];
     w is a (_TILE, n) work buffer.  Writes the weighted sums w @ snapshot
     into the (_TILE, 4) `sums` and the total weights of the first `rows`
-    seeds into `total`.
+    seeds into `total`.  Exponents are clamped to 0 only when one rounds
+    above it: exp(min(x, 0)) = exp(x) for x <= 0, and NaN fails both tests.
     """
     np.matmul(lhs, rhs, out=w)
     real = w[:rows]
-    np.minimum(real, 0.0, out=real)
+    if real.max() > 0.0:
+        np.minimum(real, 0.0, out=real)
     np.exp(real, out=real)
     # The product takes all _TILE rows, since with fewer OpenBLAS would
     # round a row differently; the padding rows' exponents are 0.
@@ -221,16 +204,35 @@ def seek_modes(packet: Packet, params: MeanShiftParams, step_hook: Optional[Step
     first centred on the snapshot's column mean, then divided by h:
     centring keeps the norms small, so the expansion cancels to within a
     few ulp of the direct difference.  An exponent that rounds above 0 is
-    clamped to 0 before exp.  Active seeds go in tiles of exactly _TILE
-    rows, the last padded with zero rows, so a seed's step does not depend
-    on which other seeds are still active.
+    clamped to 0 before exp, and a tile is clamped only when its largest
+    exponent is above 0.  Active seeds go in tiles of exactly _TILE rows,
+    the last padded with zero rows, so a seed's step does not depend on
+    which other seeds are still active.
+
+    Each step does the arithmetic of the plain per-iteration loop (the
+    test oracle), so every bit is the same, at less cost per iteration:
+    - the spatial columns of the snapshot never change, so their part of
+      the column mean and of the lifted snapshot is computed once;
+    - the column mean adds each column in row order, as np.add.reduce over
+      axis 0 of the (n, 4) snapshot does, so the moving columns' sums are
+      one running sum along a (2, n) view;
+    - the lifted norms stay np.einsum over rows of four, whose order of
+      addition is numpy's own choice;
+    - a step's squared length adds its four squares in turn,
+      ((d0 + d1) + d2) + d3, as np.add.reduce adds a row of four.
 
     Every buffer lives for the whole packet and is allocated once: the
-    (n, 4) snapshot, whose polarity and age columns are updated in place
-    at the seeds that moved; the lifted factors, lhs of n rows padded to
-    whole tiles and rhs of n columns; the (_TILE, n) kernel-weight tile;
-    and the weighted sums and total weights of all seeds.  The active seeds
-    are an index array that only shrinks.
+    (n, 4) snapshot, whose polarity and age columns are written at the
+    active seeds, and the running sums of those columns; the lifted
+    factors, lhs of n rows padded to whole tiles, whose rows past the
+    active seeds are zero, and rhs of n columns, with the lifted snapshot
+    rows that its norms are taken from; the (_TILE, n) kernel-weight tile;
+    the weighted sums and total weights of all seeds; the active seeds'
+    positions before and after a step, by column, the first of which also
+    takes the step's squares; and the step lengths and leave flags.  The
+    active seeds are an index array that only shrinks, with their
+    positions kept in the same order; a seed's mode and iteration count
+    are written when it leaves.
 
     step_hook, when given, is called once per iteration with
     (y_before, y_after, snapshot, active_indices); it exists for diagnostic
@@ -239,43 +241,108 @@ def seek_modes(packet: Packet, params: MeanShiftParams, step_hook: Optional[Step
     f0 = packet.feature_array()
     n = len(f0)
     h = params.bandwidth_h
-    y = f0.copy()
-    snapshot = f0.copy()
+    modes = f0.copy()
     iterations = np.zeros(n, dtype=int)
     stalled = np.zeros(n, dtype=bool)
     idx = np.arange(n)
     ops = 0
+    if n == 0:
+        return ModeSeekResult(modes=modes, iterations=iterations, ops_count=ops, stalled=stalled)
+    snapshot = f0.copy()
     padded = -(-n // _TILE) * _TILE
     lhs = np.zeros((padded, 6))
+    lhs[:n, 5] = 1.0
     rhs = np.empty((6, n))
     rhs[4] = 1.0
+    lifted = np.empty((n, 4))
+    running = np.empty((2, n))
     w = np.empty((_TILE, n))
     sums = np.empty((padded, 4))
     total = np.empty(n)
-    for _ in range(params.max_iters):
-        m = idx.size
+    before, after = f0.T.copy(), np.empty((4, n))
+    shift = np.empty(n)
+    leave = np.empty(n, dtype=bool)
+    centre = np.add.reduce(f0, axis=0) / n
+    np.subtract(f0, centre, out=lifted)
+    lifted /= h
+    rhs[:2] = lifted[:, :2].T
+    # views that stay fixed: the moving columns of the snapshot (by
+    # column), of its lifted rows and of rhs, and of the centre
+    moving = snapshot[:, 2:].T
+    polarity, age = moving
+    lifted_moving, rhs_moving, rhs_norms = lifted[:, 2:], rhs[2:4], rhs[5]
+    centre_col = centre[:, None]
+    centre_moving, centre_moving_col = centre[2:], centre_col[2:]
+    m = n
+    tiles = _tile_views(lhs, sums, total, m)
+    for it in range(params.max_iters):
+        # lift the snapshot's moving columns, then the active seeds
+        np.add.accumulate(moving, axis=1, out=running)
+        np.divide(running[:, -1], n, out=centre_moving)
+        np.subtract(moving, centre_moving_col, out=rhs_moving)
+        np.divide(rhs_moving, h, out=rhs_moving)
+        lifted_moving[...] = rhs_moving.T
+        np.einsum("ij,ij->i", lifted, lifted, out=rhs_norms)
+        rhs_norms *= -0.5
+        y, ys = before[:, :m], lhs[:m, :4]
+        np.subtract(y, centre_col, out=ys.T)
+        np.divide(ys.T, h, out=ys.T, order="C")
+        ys_norms = lhs[:m, 4]
+        np.einsum("ij,ij->i", ys, ys, out=ys_norms)
+        ys_norms *= -0.5
+        for tile_lhs, tile_sums, tile_total, rows in tiles:
+            _seek_tile(tile_lhs, rhs, snapshot, rows, w, tile_sums, tile_total)
+        # the step: weighted means, or the seed itself where the weights
+        # underflowed
+        tot, new = total[:m], after[:, :m]
+        if np.fmin.reduce(tot) < WEIGHT_FLOOR:
+            under = tot < WEIGHT_FLOOR
+            np.divide(sums[:m].T, np.where(under, 1.0, tot), out=new)
+            new[:, under] = y[:, under]
+            stalled[idx[under]] = True
+        else:
+            under = None
+            np.divide(sums[:m].T, tot, out=new)
+        ops += m * n
+        if step_hook is not None:
+            step_hook(y.T.copy(), new.T.copy(), snapshot.copy(), idx.copy())
+        # the step, in place of the positions before it
+        moved = shift[:m]
+        np.subtract(new, y, out=y)
+        np.multiply(y, y, out=y)
+        np.add.reduce(y, axis=0, out=moved)
+        np.sqrt(moved, out=moved)
+        polarity[idx] = new[2]
+        age[idx] = new[3]
+        done = leave[:m]
+        np.less(moved, params.epsilon, out=done)
+        if under is not None:
+            done |= under
+        if not np.count_nonzero(done):
+            before, after = after, before
+            continue
+        # write back the seeds that leave, and compact the rest
+        out = done.nonzero()[0]
+        modes[idx[out]] = new[:, out].T
+        iterations[idx[out]] = it + 1
+        keep = np.logical_not(done, out=done).nonzero()[0]
+        m = keep.size
         if m == 0:
             break
-        before = y[idx]
-        _lift(before, snapshot, h, lhs, rhs)
-        for s in range(0, m, _TILE):
-            rows = min(_TILE, m - s)
-            _seek_tile(lhs[s : s + _TILE], rhs, snapshot, rows, w, sums[s : s + _TILE], total[s : s + rows])
-        under = total[:m] < WEIGHT_FLOOR
-        new_y = sums[:m] / np.where(under, 1.0, total[:m])[:, None]
-        new_y[under] = before[under]
-        ops += m * n
-        iterations[idx] += 1
-        if step_hook is not None:
-            step_hook(before.copy(), new_y.copy(), snapshot.copy(), idx.copy())
-        # np.linalg.norm(new_y - before, axis=1), without its Python wrapper
-        step = new_y - before
-        shift = np.sqrt(np.add.reduce(step * step, axis=1))
-        y[idx] = new_y
-        snapshot[idx, 2:] = new_y[:, 2:]
-        stalled[idx[under]] = True
-        idx = idx[~(under | (shift < params.epsilon))]
-    return ModeSeekResult(modes=y, iterations=iterations, ops_count=ops, stalled=stalled)
+        idx = idx[keep]
+        new.take(keep, axis=1, out=before[:, :m])
+        lhs[m : m + _TILE] = 0.0
+        tiles = _tile_views(lhs, sums, total, m)
+    else:
+        modes[idx] = before[:, :m].T
+        iterations[idx] = params.max_iters
+    return ModeSeekResult(modes=modes, iterations=iterations, ops_count=ops, stalled=stalled)
+
+
+def _tile_views(lhs: np.ndarray, sums: np.ndarray, total: np.ndarray, m: int) -> list:
+    """The (lhs, sums, total, rows) arguments of _seek_tile for m active seeds."""
+    return [(lhs[s : s + _TILE], sums[s : s + _TILE], total[s : min(s + _TILE, m)], min(_TILE, m - s))
+            for s in range(0, m, _TILE)]
 
 
 def merge_modes(modes: np.ndarray, merge_radius: float) -> np.ndarray:
@@ -300,31 +367,43 @@ def merge_modes(modes: np.ndarray, merge_radius: float) -> np.ndarray:
     so the sum is at least merge_radius ** 2 and fails the strict `<` test.
     The range is taken with fmin and fmax, so a NaN coordinate (whose
     distances are all NaN and never merge) neither widens nor empties the
-    box.  Frontier rows go in blocks of at most _BLOCK_ELEMS pairs, and the
-    block buffers grow only to the largest block used, so memory stays
-    bounded whatever the number of modes.
+    box.  Frontier rows go in blocks of at most _BLOCK_ELEMS pairs.
+
+    The unlabeled modes are a boolean mask over all modes, so a round costs
+    a fixed number of numpy calls; the box test runs on both coordinates at
+    once, into two (2, n) masks made once per call.  The block buffers are
+    reused from round to round and grow only to the largest block used, so
+    memory stays bounded whatever the number of modes.
     """
     n = len(modes)
     thr2 = merge_radius * merge_radius
     reach = 2 * merge_radius
     columns = np.ascontiguousarray(np.asarray(modes, dtype=float).T)
     out = np.empty(n, dtype=int)
+    free = np.ones(n, dtype=bool)
+    above, below = np.empty((2, n), dtype=bool), np.empty((2, n), dtype=bool)
     # a block's d2 in buf[:size], the term being added to it in buf[size:]
     buf = np.empty(0)
-    rest = np.arange(n)
-    comp = 0
-    while rest.size:
-        frontier, rest = rest[:1], rest[1:]
-        out[frontier] = comp
-        while frontier.size and rest.size:
-            near = np.ones(rest.size, dtype=bool)
-            for col in columns[:2]:
-                front, cand = col[frontier], col[rest]
-                near &= (cand >= np.fmin.reduce(front) - reach) & (cand <= np.fmax.reduce(front) + reach)
-            near = np.flatnonzero(near)
+    left = n
+    first = comp = 0
+    while left:
+        # the lowest unlabeled mode starts the next component
+        first += int(free[first:].argmax())
+        frontier = np.array([first])
+        while frontier.size:
+            free[frontier] = False
+            out[frontier] = comp
+            left -= frontier.size
+            if not left:
+                break
+            front_cols = columns[:, frontier]
+            np.greater_equal(columns[:2], np.fmin.reduce(front_cols[:2], axis=1)[:, None] - reach, out=above)
+            np.less_equal(columns[:2], np.fmax.reduce(front_cols[:2], axis=1)[:, None] + reach, out=below)
+            above &= below
+            near = (above[0] & above[1] & free).nonzero()[0]
             if near.size == 0:
                 break
-            cand_cols = columns[:, rest[near]]
+            cand_cols = columns[:, near]
             hit = np.zeros(near.size, dtype=bool)
             block = max(1, _BLOCK_ELEMS // near.size)
             size = min(block, frontier.size) * near.size
@@ -333,21 +412,18 @@ def merge_modes(modes: np.ndarray, merge_radius: float) -> np.ndarray:
                 buf = d2 = tmp = None
                 buf = np.empty(2 * size)
             for s in range(0, frontier.size, block):
-                front_cols = columns[:, frontier[s : s + block]]
-                shape = (front_cols.shape[1], near.size)
+                block_cols = front_cols[:, s : s + block]
+                shape = (block_cols.shape[1], near.size)
                 d2 = buf[: shape[0] * shape[1]].reshape(shape)
                 tmp = buf[size : size + shape[0] * shape[1]].reshape(shape)
                 # dimensions summed in turn: the bits np.sum over the last
                 # axis gives, so each `< thr2` decision stays as it was
-                _squared_diff(front_cols[0], cand_cols[0], d2)
+                _squared_diff(block_cols[0], cand_cols[0], d2)
                 for k in range(1, len(columns)):
-                    _squared_diff(front_cols[k], cand_cols[k], tmp)
+                    _squared_diff(block_cols[k], cand_cols[k], tmp)
                     d2 += tmp
                 hit |= (d2 < thr2).any(axis=0)
-            taken = near[hit]
-            frontier = rest[taken]
-            rest = np.delete(rest, taken)
-            out[frontier] = comp
+            frontier = near[hit]
         comp += 1
     return out
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
+
 
 class EvshiftError(Exception):
     """Base class for all package errors."""
@@ -25,6 +27,13 @@ def require_finite(params) -> None:
         for value in _floats(getattr(params, f.name)):
             if not math.isfinite(value):
                 raise ContractViolationError(f"{f.name} must be finite, got {value}")
+
+
+def require_integer(value, what: str) -> None:
+    """Raise ContractViolationError unless value is an integer: a Python
+    or numpy int, not a bool, a float or anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ContractViolationError(f"{what} must be an integer, got {value!r}")
 
 
 def _floats(value):

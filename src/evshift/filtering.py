@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
-from .errors import ContractViolationError, OutOfBoundsError, StreamOrderError, require_finite
+from .errors import ContractViolationError, OutOfBoundsError, StreamOrderError, require_finite, require_integer
 from .events import Event, EventStream, SensorGeometry, as_stream
 
 
@@ -28,8 +28,7 @@ class FilterParams:
 
     def __post_init__(self):
         require_finite(self)
-        if isinstance(self.radius, bool) or not isinstance(self.radius, (int, np.integer)):
-            raise ContractViolationError(f"filter radius must be an integer, got {self.radius!r}")
+        require_integer(self.radius, "filter radius")
         if self.radius < 1:
             raise ContractViolationError(f"filter radius must be >= 1, got {self.radius}")
         if not (self.window > 0):

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericalError, require_finite
+from .errors import ContractViolationError, NumericalError, require_finite, require_integer
 
 
 class TrackStatus(enum.Enum):
@@ -44,6 +44,8 @@ class TrackerParams:
 
     def __post_init__(self):
         require_finite(self)
+        require_integer(self.confirm_hits, "confirm_hits")
+        require_integer(self.max_misses, "max_misses")
         if not (self.gate > 0):
             raise ContractViolationError(f"gate must be > 0, got {self.gate}")
         if not (self.q_var >= 0 and self.r_var > 0):

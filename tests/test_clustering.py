@@ -285,6 +285,64 @@ def test_seek_modes_matches_the_per_iteration_oracle_bit_for_bit(kind, n, seed, 
         assert all(np.array_equal(a, b) for a, b in zip(g, w))
 
 
+def assert_seek_matches_oracle(pkt, params):
+    """Modes, iterations, stall flags, ops_count and every step_hook tuple
+    of seek_modes equal those of the per-iteration oracle, bit for bit."""
+    features = pkt.feature_array().copy()
+    got_steps, want_steps = [], []
+    got = seek_modes(pkt, params, step_hook=lambda *a: got_steps.append(a))
+    assert np.array_equal(pkt.feature_array(), features)
+    want = clustering_oracle.seek_modes(pkt, params, step_hook=lambda *a: want_steps.append(a))
+    assert np.array_equal(got.modes, want.modes)
+    assert np.array_equal(got.iterations, want.iterations)
+    assert np.array_equal(got.stalled, want.stalled)
+    assert got.ops_count == want.ops_count
+    assert len(got_steps) == len(want_steps)
+    for g, w in zip(got_steps, want_steps):
+        assert all(np.array_equal(a, b) for a, b in zip(g, w))
+
+
+def clamped_iterations(pkt, params):
+    """The iterations (from 1) of the oracle's seek in which some tile's
+    64-row exponent product, from the oracle's _lifted, rounds above 0;
+    and the number of iterations."""
+    tile, found, seen = clustering._TILE, [], []
+
+    def hook(before, after, snapshot, idx):
+        seen.append(len(seen) + 1)
+        lhs, rhs = clustering_oracle._lifted(before, snapshot, params.bandwidth_h)
+        if any((lhs[s : s + tile] @ rhs)[: len(before) - s].max() > 0.0 for s in range(0, len(before), tile)):
+            found.append(seen[-1])
+
+    clustering_oracle.seek_modes(pkt, params, step_hook=hook)
+    return found, len(seen)
+
+
+# A 5x5 pixel blob of mixed polarity and age, far from the corners of GEOM.
+CLAMP_BLOB = [Event(t=1.0 - 0.0005 * k, x=20 + k // 5 - 2, y=20 + k % 5 - 2, p=k % 3 == 0) for k in range(25)]
+
+
+def test_seek_clamps_after_the_first_iteration_as_the_oracle():
+    # Pairs of events at one pixel, of one polarity and 10 ms apart, far
+    # from the blob and from each other.  A pair's seeds stay on their pixel
+    # while their ages close in, so from iteration 2 on each seed sits on
+    # its own snapshot point and its exponent there rounds to either side
+    # of 0.  (Two identical events would both stop after one step.)
+    pairs = [Event(t=1.0 - dt, x=x, y=y, p=False) for x, y in [(70, 70), (64, 12), (12, 64)] for dt in (0.0, 0.01)]
+    pkt = make_packet(sorted(CLAMP_BLOB + pairs, key=lambda e: e.t), GEOM, DecayParams())
+    clamped, _ = clamped_iterations(pkt, PARAMS)
+    assert any(it >= 2 for it in clamped)
+    assert_seek_matches_oracle(pkt, PARAMS)
+
+
+def test_seek_without_a_clamp_after_the_first_iteration_matches_the_oracle():
+    pkt = make_packet(sorted(CLAMP_BLOB, key=lambda e: e.t), GEOM, DecayParams())
+    clamped, iterations = clamped_iterations(pkt, PARAMS)
+    assert iterations > 2
+    assert all(it == 1 for it in clamped)
+    assert_seek_matches_oracle(pkt, PARAMS)
+
+
 def test_seek_modes_matches_einsum_oracle():
     rng = np.random.default_rng(17)
     geom = SensorGeometry(64, 48)
@@ -317,8 +375,8 @@ def test_seek_tile_row_does_not_depend_on_its_tile(n):
     rng = np.random.default_rng(41 + n)
     snapshot = rng.uniform(0.0, 1.0, size=(n, 4))
     points = rng.uniform(0.0, 1.0, size=(tile + 3, 4))
-    seeds, rhs = np.zeros((2 * tile, 6)), np.ones((6, n))
-    clustering._lift(points, snapshot, PARAMS.bandwidth_h, seeds, rhs)
+    # the lifted factors as every seek_modes iteration builds them
+    seeds, rhs = clustering_oracle._lifted(points, snapshot, PARAMS.bandwidth_h)
     seeds = seeds[: tile + 3]
     w = np.empty((tile, n))
     sums, total = np.empty((tile, 4)), np.empty(1)

@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 
+from evshift.clustering import MeanShiftParams
 from evshift.config import RunConfig, load_config_file, merge_config
 from evshift.errors import ContractViolationError, ParseError
 from evshift.pipeline import PipelineParams
+from evshift.tracking import TrackerParams
 
 
 def test_defaults_round_numbers():
@@ -18,6 +21,21 @@ def test_defaults_round_numbers():
     assert cfg.r_var == 4.0
     assert cfg.confirm_hits == 3
     assert cfg.max_misses == 10
+
+
+@pytest.mark.parametrize("params, name", [
+    (MeanShiftParams, "max_iters"),
+    (MeanShiftParams, "min_cluster_size"),
+    (TrackerParams, "confirm_hits"),
+    (TrackerParams, "max_misses"),
+])
+@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2.0), True, "2", None])
+def test_counts_must_be_integers(params, name, bad):
+    # a float count used to construct and fail later (max_iters=2.5 in
+    # range()), or run as a count (max_iters=True ran one iteration)
+    with pytest.raises(ContractViolationError, match=f"{name} must be an integer"):
+        params(**{name: bad})
+    assert getattr(params(**{name: np.int64(2)}), name) == 2
 
 
 def test_defaults_are_the_library_defaults():
