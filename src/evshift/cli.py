@@ -174,11 +174,11 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 def cmd_track(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
 
-    def body(chunks: Iterator[LabeledEvents]) -> List[str]:
+    def body(chunks: Iterator[LabeledEvents], in_order: bool = True) -> List[str]:
         if (first := next(chunks, None)) is None:  # no chunk is empty
             raise EmptyAlignmentError("labeled event file is empty")
         tracker = Tracker(cfg.pipeline_params().tracker_params)
-        packets = (observed_rows(tracker, t, ms) for t, ms in packet_centroids(itertools.chain([first], chunks)))
+        packets = (observed_rows(tracker, t, ms) for t, ms in packet_centroids(itertools.chain([first], chunks), in_order))
         n_packets = 0
         track_ids, confirmed = set(), set()
 
@@ -197,8 +197,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     try:
         return _run(body, labeled_chunks(args.input))
     except PacketIdsGoBack:  # track in ascending packet id, each packet's rows in file order
-        rows = read_labeled_events(args.input)
-        return _run(body, iter([rows[np.argsort(rows.packet_id, kind="stable")]]))
+        return _run(lambda chunks: body(chunks, in_order=False), labeled_chunks(args.input))
 
 
 def _truth_labels_for(rows: LabeledEvents, truth: Sequence[np.ndarray]) -> np.ndarray:

@@ -250,6 +250,8 @@ def kmeans_baseline(
     n = len(x)
     if k < 1 or k > n:
         raise ContractViolationError(f"k must be in [1, {n}], got {k}")
+    if seed < 0:
+        raise ContractViolationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.integers(n)]

@@ -5,12 +5,14 @@ clusters each packet and hands its centroids straight to the tracker.
 run_pipeline, cluster_packets and `evshift cluster` all go through it, on
 packets cut by events.packet_chunks.  `evshift track` tracks labeled rows
 read back from a file with the same per-packet step, observed_rows, on the
-centroids of packet_centroids.
+centroids of packet_centroids, which sums labeled rows per (packet id,
+cluster id), chunk by chunk and in any packet order, and holds no rows.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -125,73 +127,65 @@ class PacketIdsGoBack(Exception):
     id order."""
 
 
-@dataclass
-class _PacketSums:
-    """Per-cluster coordinate sums (g, 2) and counts of the rows of one
-    packet read so far, cluster ids ascending, and their newest timestamp."""
-
-    packet_id: int
-    t: float
-    ids: np.ndarray
-    sums: np.ndarray
-    counts: np.ndarray
-
-    def merged(self, more: "_PacketSums") -> "_PacketSums":
-        ids, inverse = np.unique(np.concatenate([self.ids, more.ids]), return_inverse=True)
-        sums, counts = np.zeros((len(ids), 2)), np.zeros(len(ids), dtype=int)
-        np.add.at(sums, inverse, np.concatenate([self.sums, more.sums]))
-        np.add.at(counts, inverse, np.concatenate([self.counts, more.counts]))
-        return _PacketSums(self.packet_id, float(np.maximum(self.t, more.t)), ids, sums, counts)
-
-    def measurements(self) -> Measurements:
-        return Measurements(np.full(len(self.ids), self.t), self.sums / self.counts[:, None], self.ids)
+# Labeled rows grouped by (packet id, cluster id), as columns: the ids, the
+# newest timestamp, the x and y coordinate sums and the row count.
+_Groups = namedtuple("_Groups", "packet_id cluster_id t x y count")
 
 
-def _run_sums(chunk: LabeledEvents) -> Iterator[_PacketSums]:
-    """The sums of each run of rows with one packet id in a chunk, in order."""
-    pid = chunk.packet_id
-    starts = np.flatnonzero(np.r_[True, pid[1:] != pid[:-1]])
-    run = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(pid)))
-    keep = chunk.cluster_id != NOISE
-    ids, inverse = np.unique(chunk.cluster_id[keep], return_inverse=True)
-    # one group per (run, cluster), ordered by run and then by cluster id
-    keys, group, counts = np.unique(run[keep] * len(ids) + inverse, return_inverse=True, return_counts=True)
-    sums = np.column_stack([np.bincount(group, weights=c[keep], minlength=len(keys)) for c in (chunk.x, chunk.y)])
-    bounds = np.searchsorted(keys, np.arange(len(starts) + 1) * len(ids))
-    newest = np.maximum.reduceat(chunk.t, starts)
-    for r, start in enumerate(starts.tolist()):
-        g = slice(bounds[r], bounds[r + 1])
-        yield _PacketSums(int(pid[start]), float(newest[r]), ids[keys[g] - r * len(ids)], sums[g], counts[g])
+def _grouped(parts: Sequence[_Groups]) -> _Groups:
+    """The groups of all parts, not all empty, added up in packet id and then
+    cluster id order; the parts of one group are added in the order given."""
+    pid, cid, t, x, y, count = map(np.concatenate, zip(*parts))
+    order = np.lexsort((cid, pid))
+    sorted_pid, sorted_cid = pid[order], cid[order]
+    new = np.r_[True, (sorted_pid[1:] != sorted_pid[:-1]) | (sorted_cid[1:] != sorted_cid[:-1])]
+    starts = np.flatnonzero(new)
+    group = np.empty_like(order)
+    group[order] = np.cumsum(new) - 1  # where each input group goes, in input order
+    sums = (np.bincount(group, weights=column) for column in (x, y, count))
+    return _Groups(sorted_pid[starts], sorted_cid[starts], np.maximum.reduceat(t[order], starts), *sums)
 
 
-def packet_centroids(chunks: Iterable[LabeledEvents]) -> Iterator[Tuple[float, Measurements]]:
+def _centroids(groups: _Groups) -> Iterator[Tuple[float, Measurements]]:
+    """The newest timestamp and the cluster centroids of each packet of
+    groups, in packet id order; NOISE groups count only for the timestamp."""
+    _, starts = np.unique(groups.packet_id, return_index=True)
+    cluster = groups.cluster_id != NOISE
+    ids = groups.cluster_id[cluster]
+    position = np.column_stack([groups.x, groups.y])[cluster] / groups.count[cluster, None]
+    bounds = np.cumsum(np.r_[0, cluster])[np.append(starts, len(cluster))].tolist()
+    for t, lo, hi in zip(np.maximum.reduceat(groups.t, starts).tolist(), bounds, bounds[1:]):
+        yield t, Measurements(np.full(hi - lo, t), position[lo:hi], ids[lo:hi])
+
+
+def packet_centroids(chunks: Iterable[LabeledEvents], in_order: bool = True) -> Iterator[Tuple[float, Measurements]]:
     """The newest timestamp and the cluster centroids, at that time, of each
-    packet of labeled rows in chunks, packet by packet in file order; a
-    packet is a run of rows with one packet id, and NOISE rows count only
-    for its timestamp.  PacketIdsGoBack where a packet id falls below the
-    one before it.
+    packet of labeled rows in chunks, none empty, in packet id order; NOISE
+    rows count only for the timestamp.  In order, a packet is given once a
+    chunk goes on past it, and only the last packet's groups are carried;
+    PacketIdsGoBack where a packet id falls below the one before it.
+    Otherwise each chunk's groups are kept and added up at the end.
 
-    No rows are held: each chunk adds to per-(packet, cluster) coordinate
-    sums and counts.  While a packet's coordinate sums stay below 2**53 in
-    magnitude they are exact, so a centroid has the bits that cluster_packet
-    gives over the whole packet at once.  Past that they round,
-    and a centroid's bits may depend on where the chunks split the packet.
+    Coordinate sums are exact while they stay below 2**53 in magnitude, so
+    a centroid has the bits that cluster_packet gives over the whole packet
+    at once.  Past that they round, and a centroid's bits may depend on
+    where the chunks split the packet.
     """
-    pending: Optional[_PacketSums] = None  # the packet that the next chunk may go on with
+    held: List[_Groups] = []  # in order, the last packet's groups; otherwise each chunk's
     for chunk in chunks:
         pid = chunk.packet_id
-        if len(pid) == 0:
+        rows = _Groups(pid, chunk.cluster_id, chunk.t, chunk.x, chunk.y, np.ones(len(pid)))  # a group per row
+        if not in_order:
+            held.append(_grouped([rows]))
             continue
-        if (pending is not None and pid[0] < pending.packet_id) or (pid[1:] < pid[:-1]).any():
+        if (held and pid[0] < held[0].packet_id[0]) or (pid[1:] < pid[:-1]).any():
             raise PacketIdsGoBack
-        for part in _run_sums(chunk):
-            if pending is not None and pending.packet_id == part.packet_id:
-                part = pending.merged(part)
-            elif pending is not None:
-                yield pending.t, pending.measurements()
-            pending = part
-    if pending is not None:
-        yield pending.t, pending.measurements()
+        groups = _grouped([*held, rows])
+        last = np.searchsorted(groups.packet_id, pid[-1])
+        yield from _centroids(_Groups(*(column[:last] for column in groups)))
+        held = [_Groups(*(column[last:] for column in groups))]
+    if held:
+        yield from _centroids(_grouped(held))
 
 
 def run_pipeline(

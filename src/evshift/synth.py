@@ -141,6 +141,8 @@ class SceneSpec:
             raise ContractViolationError(f"noise rate must be >= 0, got {self.noise_rate}")
         if not (self.dt > 0) or not (self.centers_stride > 0):
             raise ContractViolationError("dt and centers_stride must be > 0")
+        if self.seed < 0:
+            raise ContractViolationError(f"seed must be >= 0, got {self.seed}")
         ids = [s.shape_id for s in self.shapes]
         if len(set(ids)) != len(ids):
             raise ContractViolationError(f"duplicate shape ids: {ids}")

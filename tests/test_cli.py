@@ -383,6 +383,31 @@ def test_exit_code_kmeans_k_below_one(tmp_path, capsys, k):
     assert f"kmeans_k must be >= 1, got {k}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["synth", "bench", "kmeans", "scene file"])
+def test_negative_seed_exits_with_its_class(tmp_path, capsys, scene_path, case):
+    # each of these died with a ValueError traceback from np.random.default_rng
+    out = str(tmp_path / "out")
+    if case == "kmeans":  # a valid file: the k-means seed is seed + packet_id
+        lab, truth = str(tmp_path / "lab.csv"), str(tmp_path / "truth.csv")
+        events = [Event(t=0.001 * i, x=10 + i, y=10, p=True) for i in range(6)]
+        write_labeled_events(lab, LabeledEvents(
+            np.array([e.t for e in events]), np.array([e.x for e in events]), np.full(6, 10), np.ones(6, dtype=int),
+            np.full(6, -1), np.zeros(6, dtype=int)))
+        write_truth(truth, events, np.zeros(6, dtype=int))
+        argv, code, message = ["eval-cluster", "--pred", lab, "--truth", truth, "--kmeans", "--geometry", "240x180"], 6, -1
+    elif case == "scene file":
+        with open(scene_path) as fh:
+            d = json.load(fh)
+        scene = tmp_path / "bad.json"
+        scene.write_text(json.dumps(dict(d, seed=-1)))
+        argv, code, message = ["synth", "--scene", str(scene), "--out", out], 4, -1
+    else:
+        argv, code, message = [case, "--scene", "reference", "--seed", "-5", "--out", out], 6, -5
+    assert main(argv) == code
+    assert f"seed must be >= 0, got {message}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("flag", ["--threshold", "--gate"])
 def test_exit_code_eval_track_invalid_setting(tmp_path, capsys, flag):
     tracks = str(tmp_path / "tracks.csv")

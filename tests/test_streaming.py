@@ -220,14 +220,19 @@ def test_mid_file_comment_gives_the_bytes_of_the_plain_file(tmp_path, small_chun
 @st.composite
 def labeled_packets(draw):
     """Labeled rows of a few packets, some of them all NOISE, each packet's
-    times after those of every lower packet id; on a coin flip the packets
-    come in shuffled file order."""
+    times after those of every lower packet id; on a coin flip one packet's
+    rows are cut in two parts, and on another the parts come in shuffled
+    file order, so that a packet's rows need not be adjacent."""
     parts = []
     for pid in sorted(draw(st.sets(st.integers(0, 30), min_size=1, max_size=8))):
         n = draw(st.integers(1, 12))
         steps, x, y, cid = (np.array(draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n)))
                             for lo, hi in ((0, 9), (0, 30), (0, 20), (-1, 2)))
         parts.append(LabeledEvents(0.01 * pid + 1e-3 * np.sort(steps), x, y, y % 2, np.full(n, pid), cid))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(parts) - 1))
+        cut = draw(st.integers(0, len(parts[i])))
+        parts[i:i + 1] = [parts[i][:cut], parts[i][cut:]]
     if draw(st.booleans()):
         parts = draw(st.permutations(parts))
     return LabeledEvents.concat(parts)
@@ -458,8 +463,8 @@ def repeated_reference(tmp_path_factory):
     """The reference events and their generator labels, repeated 1x and 4x
     with shifted times: {repeats: {input name: path}}.  The inputs are the
     events, the same with a comment on line 1 and with a bad last line, the
-    labeled rows, the same with a bad last line, and the labeled rows with
-    every row in packet 0."""
+    labeled rows, the same with a bad last line and with the rows of packet
+    0 moved to the end, and the labeled rows with every row in packet 0."""
     gen = generate(build_scene("reference"))
     s = gen.events
     span = float(s.t[-1]) + 0.01
@@ -468,7 +473,7 @@ def repeated_reference(tmp_path_factory):
     for k in (1, 4):
         t = np.concatenate([s.t + i * span for i in range(k)])
         x, y, p = (np.tile(c, k) for c in (s.x, s.y, s.p))
-        names = ("events", "commented", "bad events", "labeled", "bad labeled", "one packet")
+        names = ("events", "commented", "bad events", "labeled", "bad labeled", "packet 0 last", "one packet")
         paths[k] = {name: str(d / f"{name.replace(' ', '_')}{k}") for name in names}
         write_events(paths[k]["events"], EventStream(t, x, y, p), gen.geometry)
         for name, packet_id in (("labeled", np.arange(len(t)) // 500), ("one packet", np.zeros(len(t), dtype=int))):
@@ -477,6 +482,8 @@ def repeated_reference(tmp_path_factory):
         open(paths[k]["commented"], "w").write("# a note\n" + events)
         open(paths[k]["bad events"], "w").write(events + "0.5 1 1\n")
         open(paths[k]["bad labeled"], "w").write(labeled + "0.5,1,1,0,0\n")
+        header, *rows = labeled.splitlines(keepends=True)
+        open(paths[k]["packet 0 last"], "w").write("".join([header, *rows[500:], *rows[:500]]))  # packet 0: rows[:500]
     return paths
 
 
@@ -489,6 +496,7 @@ MEMORY_CASES = {
     "filter, comment on line 1": ("filter", "commented", 0),
     "filter, bad last line": ("filter", "bad events", 4),
     "track, bad last line": ("track", "bad labeled", 4),
+    "track, packet ids go back": ("track", "packet 0 last", 0),
 }
 
 
