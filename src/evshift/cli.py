@@ -45,7 +45,6 @@ from .io import (
     labeled_lines,
     read_centers,
     read_labeled_events,
-    read_tracks,
     read_truth,
     track_lines,
     write_centers,
@@ -286,21 +285,16 @@ def cmd_eval_cluster(args: argparse.Namespace) -> int:
 
 def cmd_eval_track(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    rows = read_tracks(args.tracks)
-    confirmed = [r for r in rows if r.status == TrackStatus.CONFIRMED.value]
-    if not confirmed:
+    kept = []  # per chunk: t, track_id, x and y of its confirmed rows
+    for t, track_id, x, y, _, _, status, _, _ in io._csv_chunks(args.tracks, TRACKS_COLUMNS):
+        confirmed = status == TrackStatus.CONFIRMED.value
+        kept.append([col[confirmed] for col in (t, track_id, x, y)])
+    if not any(len(t) for t, *_ in kept):
         raise EmptyAlignmentError("no confirmed track samples to score")
+    t, track_id, x, y = map(np.concatenate, zip(*kept))
     ct, cobj, cxy = read_centers(args.centers)
-    report = tracking_error(
-        sample_t=np.array([r.t for r in confirmed]),
-        sample_track=np.array([r.track_id for r in confirmed]),
-        sample_xy=np.array([[r.x, r.y] for r in confirmed]),
-        truth_t=ct,
-        truth_obj=cobj,
-        truth_xy=cxy,
-        threshold=cfg.threshold,
-        match_radius=cfg.gate,
-    )
+    xy = np.stack([x, y], axis=1)
+    report = tracking_error(t, track_id, xy, ct, cobj, cxy, threshold=cfg.threshold, match_radius=cfg.gate)
     print(f"samples = {report.n_samples}")
     print(f"mean_error = {_fmt(report.mean_error)}")
     print(f"valid_fraction = {_fmt(report.valid_fraction)}")

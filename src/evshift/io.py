@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import math
 import os
 import tempfile
 import warnings
@@ -40,6 +39,7 @@ import numpy as np
 
 from .errors import ContractViolationError, ParseError, StreamOrderError
 from .events import Event, EventStream, SensorGeometry, as_stream
+from .tracking import TrackStatus
 
 
 # Rows per chunk that a reader parses and a writer formats at a time: large
@@ -100,22 +100,43 @@ def _checked(path: str, lines: Iterable[str], first: int) -> Iterator[str]:
         yield raw
 
 
-class _NotFinite(ValueError):
-    """A value that a `finite` column refuses: NaN or an infinity."""
+class _Refused(ValueError):
+    """A value of its column's base kind that the column's rule refuses."""
 
 
-def finite(text: str) -> float:
-    """The column kind of a float that must be finite: float(text), and
-    _NotFinite for NaN and the infinities."""
-    v = float(text)
-    if not math.isfinite(v):
-        raise _NotFinite(text)
-    return v
+@dataclass(frozen=True)
+class _Checked:
+    """A column kind: the values of kind `base` that `keeps`, a test over an
+    array of them, passes; `rule` names those values in a ParseError."""
+
+    base: type
+    keeps: Callable[[np.ndarray], np.ndarray]
+    rule: str
+
+    def __call__(self, text: str):
+        """base(text), and _Refused for a value the rule refuses."""
+        return _parse(self, [text]).tolist()[0]
 
 
-# The array dtype of each column kind.  An unsized 'U' field reads every
+def _base(kind) -> type:
+    return kind.base if isinstance(kind, _Checked) else kind
+
+
+def _ruled(kind, col: np.ndarray) -> np.ndarray:
+    """The parsed column `col`, or _Refused where a rule of `kind` refuses one of its values."""
+    if isinstance(kind, _Checked) and not kind.keeps(col).all():
+        raise _Refused(kind.rule)
+    return col
+
+
+# The column kind of a float that must be finite: NaN and the infinities are refused.
+finite = _Checked(float, np.isfinite, "finite")
+# The column kind of a track's status.
+track_status = _Checked(str, lambda col: np.isin(col, [s.value for s in TrackStatus]), "tentative, confirmed or dead")
+
+# The array dtype of each base kind.  An unsized 'U' field reads every
 # string as '' in np.loadtxt (numpy 2.4); object keeps each field.
-_DTYPE = {float: "f8", finite: "f8", int: "i8", str: object}
+_DTYPE = {float: "f8", int: "i8", str: object}
 
 # Characters on which csv and loadtxt part ways: a quote, which csv reads
 # as quoting, and the ASCII separators that loadtxt strips around a number
@@ -127,23 +148,22 @@ def _bulk_columns(lines: List[str], columns: Columns, delimiter: Optional[str]) 
     """Text `lines` as one array per column of `columns`, parsed in one
     np.loadtxt call split on `delimiter` (None: runs of whitespace), or None
     where a line holds a byte that is not UTF-8 or one of _CSV_ONLY_CHARS,
-    loadtxt raises or warns (lines that are all blank warn) or a `finite`
-    column holds NaN or an infinity.  loadtxt's comment handling is off: a
-    `#` makes a value it rejects, or, in a str column, part of the value.
+    loadtxt raises or warns (lines that are all blank warn) or a column holds
+    a value that the rule of its kind refuses.  loadtxt's comment handling
+    is off: a `#` makes a value it rejects, or, in a str column, part of the
+    value.
     """
     text = "".join(lines)
     if not _is_utf8(text) or any(c in text for c in _CSV_ONLY_CHARS):
         return None
-    dtype = [(name, _DTYPE[kind]) for name, kind in columns]
+    dtype = [(name, _DTYPE[_base(kind)]) for name, kind in columns]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, quotechar=None, ndmin=1)
-    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        return [_ruled(kind, table[name].astype(str) if _base(kind) is str else table[name].copy()) for name, kind in columns]
+    except (ValueError, Warning):  # UnicodeDecodeError and _Refused are ValueErrors
         return None
-    if any(kind is finite and not np.isfinite(table[name]).all() for name, kind in columns):
-        return None
-    return [table[name].astype(str) if kind is str else table[name].copy() for name, kind in columns]
 
 
 def _numbered_chunks(lines: Iterable[str], first: int) -> Iterator[Tuple[int, List[str]]]:
@@ -316,7 +336,8 @@ def _parse_event_lines(path: str, lines: Iterable[str], first: int, file_geom: O
 
 
 # A CSV format: its (column name, kind) pairs in file order, kind being
-# float, finite, int or str.  The header is the names joined by commas.
+# float, int or str, or finite or track_status, which refuse some values of
+# their base kind.  The header is the names joined by commas.
 Columns = Tuple[Tuple[str, Callable[[str], object]], ...]
 
 
@@ -382,9 +403,12 @@ def labeled_chunks(path: str) -> Iterator[LabeledEvents]:
     return (LabeledEvents(*cols) for cols in _csv_chunks(path, LABELED_COLUMNS))
 
 
+# Tracks are scored by their confirmed rows' times, so a t that is NaN or
+# infinite and a status that is none of the three are refused where the
+# file is read.
 TRACKS_COLUMNS: Columns = (
-    ("t", float), ("track_id", int), ("x", float), ("y", float), ("vx", float), ("vy", float),
-    ("status", str), ("raw_cx", float), ("raw_cy", float),
+    ("t", finite), ("track_id", int), ("x", float), ("y", float), ("vx", float), ("vy", float),
+    ("status", track_status), ("raw_cx", float), ("raw_cy", float),
 )
 TRACKS_HEADER = _names(TRACKS_COLUMNS)
 
@@ -429,7 +453,8 @@ def read_truth(path: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return tuple(_read_csv(path, TRUTH_COLUMNS))
 
 
-CENTERS_COLUMNS: Columns = (("t", float), ("object_id", int), ("cx", float), ("cy", float))
+# Track positions are scored against centers interpolated in t.
+CENTERS_COLUMNS: Columns = (("t", finite), ("object_id", int), ("cx", float), ("cy", float))
 
 
 def write_centers(path: str, t: np.ndarray, obj: np.ndarray, xy: np.ndarray) -> None:
@@ -442,12 +467,14 @@ def read_centers(path: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, obj, np.stack([cx, cy], axis=1)
 
 
-def _parse(kind: type, values: List[str]) -> np.ndarray:
-    """One column's text as an array; a value `kind` rejects, or an int
-    outside int64, raises ValueError or OverflowError."""
-    if kind is str:
-        return np.array(values, dtype=str)
-    return np.fromiter(map(kind, values), dtype=_DTYPE[kind], count=len(values))
+def _parse(kind, values: List[str]) -> np.ndarray:
+    """One column's text as an array; a value that `kind` rejects, or an int
+    outside int64, raises ValueError or OverflowError, and one that its rule
+    refuses _Refused."""
+    base = _base(kind)
+    if base is str:
+        return _ruled(kind, np.array(values, dtype=str))
+    return _ruled(kind, np.fromiter(map(base, values), dtype=_DTYPE[base], count=len(values)))
 
 
 def _read_csv(path: str, columns: Columns) -> List[np.ndarray]:
@@ -546,23 +573,25 @@ def _csv_columns(path: str, columns: Columns, rows: List[List[str]], line_nos: n
                 try:
                     _parse(kind, [v])
                 except (ValueError, OverflowError) as exc:
-                    rule = "finite" if isinstance(exc, _NotFinite) else "float" if kind is finite else kind.__name__
+                    rule = kind.rule if isinstance(exc, _Refused) else _base(kind).__name__
                     return out, ParseError(path, int(line_nos[i]), f"{name} must be {rule}, got {v!r}")
     return out, None
 
 
 # printf-style, which formats a row of reprs faster than str.format's "{!r}"
-_FORMAT = {float: "%r", finite: "%r", int: "%d", str: "%s"}
+_FORMAT = {float: "%r", int: "%d", str: "%s"}
 
 
-def _values(kind: type, col) -> list:
-    """A column slice as Python values of `kind`: kind(v) for each v, which
-    for an array of the kind's own dtype is what tolist() gives."""
+def _values(kind, col) -> list:
+    """A column slice as Python values of the base kind of `kind`: base(v)
+    for each v, which for an array of the base's own dtype is what tolist()
+    gives.  The rule of a checked kind is the reader's, not the writer's."""
+    base = _base(kind)
     if isinstance(col, np.ndarray):
-        if col.dtype == _DTYPE[kind]:
+        if col.dtype == _DTYPE[base]:
             return col.tolist()
         col = col.tolist()
-    return list(map(kind, col))
+    return list(map(base, col))
 
 
 def csv_header(columns: Columns) -> str:
@@ -580,7 +609,7 @@ def _lines(columns: Columns, data: Sequence[Sequence], sep: str = ",") -> Iterat
     if len(lengths) > 1:
         raise ValueError(f"columns of unequal length {sorted(lengths)}")
     n = lengths.pop() if lengths else 0
-    row = sep.join(_FORMAT[kind] for _, kind in columns) + "\n"
+    row = sep.join(_FORMAT[_base(kind)] for _, kind in columns) + "\n"
 
     def pieces() -> Iterator[str]:
         for start in range(0, n, _CHUNK_ROWS):

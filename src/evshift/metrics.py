@@ -15,6 +15,7 @@ import numpy as np
 
 from .clustering import NOISE
 from .errors import ContractViolationError, EmptyAlignmentError
+from .tracking import norms
 
 
 def _check_beta(beta: float) -> None:
@@ -326,11 +327,14 @@ def tracking_error(
 ) -> TrackingErrorReport:
     """Score confirmed track positions against true center trajectories.
 
-    Each track is bound to one object at its first sample: the object whose
-    interpolated center is nearest at that time, if within match_radius.
-    The binding is permanent.  Errors are Euclidean distances between track
-    positions and the bound object's interpolated center; samples of tracks
-    that never bind are excluded and those tracks reported unmatched.
+    Each track is bound to one object at its first sample (the earliest, of
+    equal times the first given): the object whose interpolated center is
+    nearest at that time, the lowest id of equally near ones, if within
+    match_radius.  The binding is permanent.  Errors are Euclidean distances
+    between track positions and the bound object's interpolated center, by
+    track id, then in the order given; samples of tracks that never bind are
+    excluded and those tracks reported unmatched.  Sample and center times
+    must be finite.  Each object's centers are interpolated at most twice.
     """
     if not (threshold >= 0 and match_radius > 0):
         raise ContractViolationError(f"threshold must be >= 0 and match_radius > 0: {threshold}, {match_radius}")
@@ -342,42 +346,36 @@ def tracking_error(
     truth_xy = np.asarray(truth_xy, dtype=float)
     if len(sample_t) == 0 or len(truth_t) == 0:
         raise EmptyAlignmentError("need at least one track sample and one true center")
+    if not (np.isfinite(sample_t).all() and np.isfinite(truth_t).all()):
+        raise ContractViolationError("track sample and center times must be finite")
+    tracks, track_of = np.unique(sample_track, return_inverse=True)
+    by_time = np.lexsort((sample_t, track_of))
+    first = by_time[np.r_[True, np.diff(track_of[by_time]) != 0]]
     objects = np.unique(truth_obj)
-    binding: Dict[int, int] = {}
-    unmatched: List[int] = []
-    for tid in np.unique(sample_track):
-        sel = sample_track == tid
-        first = int(np.argmin(sample_t[sel]))
-        t0 = sample_t[sel][first]
-        p0 = sample_xy[sel][first]
-        best_obj, best_d = -1, float("inf")
-        for obj in objects:
-            c = interpolate_centers(truth_t, truth_obj, truth_xy, int(obj), np.array([t0]))[0]
-            d = float(np.linalg.norm(p0 - c))
-            if d < best_d:
-                best_obj, best_d = int(obj), d
-        if best_d <= match_radius:
-            binding[int(tid)] = best_obj
-        else:
-            unmatched.append(int(tid))
-    errors: List[float] = []
-    per_obj_err: Dict[int, List[float]] = {}
-    for tid, obj in binding.items():
-        sel = sample_track == tid
-        centers = interpolate_centers(truth_t, truth_obj, truth_xy, obj, sample_t[sel])
-        e = np.linalg.norm(sample_xy[sel] - centers, axis=1)
-        errors.extend(e.tolist())
-        per_obj_err.setdefault(obj, []).extend(e.tolist())
-    if not errors:
+    centers = np.stack([interpolate_centers(truth_t, truth_obj, truth_xy, obj, sample_t[first]) for obj in objects], axis=1)
+    d = norms(sample_xy[first, None, :] - centers)
+    d[np.isnan(d)] = np.inf  # a NaN distance never binds
+    nearest = np.argmin(d, axis=1)
+    bound = d[np.arange(len(tracks)), nearest] <= match_radius
+    nearest_obj = objects[nearest]
+    rows = np.argsort(track_of, kind="stable")
+    rows = rows[bound[track_of[rows]]]
+    if not len(rows):
         raise EmptyAlignmentError("no track bound to any true object")
-    err = np.array(errors)
-    per_object = {obj: (float(np.mean(v)), len(v)) for obj, v in sorted(per_obj_err.items())}
+    row_obj = nearest_obj[track_of[rows]]
+    err = np.empty(len(rows))
+    per_object: Dict[int, Tuple[float, int]] = {}
+    for obj in np.unique(row_obj):
+        mine = row_obj == obj
+        centers = interpolate_centers(truth_t, truth_obj, truth_xy, obj, sample_t[rows[mine]])
+        err[mine] = np.linalg.norm(sample_xy[rows[mine]] - centers, axis=1)
+        per_object[int(obj)] = (float(np.mean(err[mine])), int(mine.sum()))
     return TrackingErrorReport(
         mean_error=float(np.mean(err)),
         valid_fraction=float(np.mean(err <= threshold)),
         threshold=threshold,
         n_samples=len(err),
         per_object=per_object,
-        track_to_object=binding,
-        unmatched_tracks=sorted(unmatched),
+        track_to_object=dict(zip(tracks[bound].tolist(), nearest_obj[bound].tolist())),
+        unmatched_tracks=tracks[~bound].tolist(),
     )

@@ -248,13 +248,18 @@ def _updated(x: np.ndarray, p: np.ndarray, z: np.ndarray, r_var: float) -> Tuple
     return x, 0.5 * (p + _swap(p))
 
 
+def norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean length of each vector along the last axis of `d` (..., 2),
+    with the bits of np.linalg.norm of that one vector: both take the square
+    root of one BLAS dot product, where an elementwise sum of squares rounds
+    differently."""
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+
+
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distance (k, m) between positions a (k, 2) and b (m, 2),
-    with the bits of np.linalg.norm(a[i] - b[j]): both take the square
-    root of one BLAS dot product, where an elementwise sum of squares
-    rounds differently."""
-    d = a[:, None, :] - b[None, :, :]
-    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+    with the bits of np.linalg.norm(a[i] - b[j])."""
+    return norms(a[:, None, :] - b[None, :, :])
 
 
 def _pairs(positions: np.ndarray, track_ids: np.ndarray, ms: Measurements, gate: float) -> List[Tuple[int, int]]:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evshift
+from evshift import io
 from evshift.cli import _truth_labels_for, main
 from evshift.clustering import NOISE
 from evshift.config import RunConfig
@@ -422,6 +423,35 @@ def test_exit_code_eval_track_invalid_setting(tmp_path, capsys, flag):
     write_tracks(tracks, [dataclasses.replace(row, status="tentative")])
     assert main([*args, flag, "-1"]) == 8
     capsys.readouterr()
+
+
+# A row that eval-track used to take, as a tracks or centers row: a NaN
+# first sample left its track unmatched, a non-finite center time was
+# scored and a row of another status was dropped, and each exited 0.
+BAD_SCORED_ROWS = [
+    *[("tracks", f"{t},0,1.5,1.5,0.0,0.0,confirmed,1.5,1.5", f"t must be finite, got '{t}'") for t in ("nan", "inf")],
+    *[("tracks", f"0.15,0,1.5,1.5,0.0,0.0,{status},1.5,1.5",
+       f"status must be tentative, confirmed or dead, got '{status}'") for status in ("bogus", "", "Confirmed")],
+    *[("centers", f"{t},0,1.5,1.5", f"t must be finite, got '{t}'") for t in ("nan", "-inf")],
+]
+
+
+@pytest.mark.parametrize("chunk_rows", [1, io._CHUNK_ROWS])
+@pytest.mark.parametrize("name, row, message", BAD_SCORED_ROWS)
+def test_exit_code_eval_track_bad_row(tmp_path, monkeypatch, capsys, chunk_rows, name, row, message):
+    # one-line chunks and one whole-file chunk: the bulk parse and the per-line reader refuse it alike
+    monkeypatch.setattr(io, "_CHUNK_ROWS", chunk_rows)
+    files = {
+        "tracks": ["t,track_id,x,y,vx,vy,status,raw_cx,raw_cy", "0.1,0,1.5,1.5,0.0,0.0,confirmed,1.5,1.5",
+                   "0.2,0,2.5,2.5,0.0,0.0,confirmed,2.5,2.5"],
+        "centers": ["t,object_id,cx,cy", "0.0,0,1.0,1.0", "0.3,0,3.0,3.0"],
+    }
+    files[name].insert(2, row)
+    for key, lines in files.items():
+        (tmp_path / f"{key}.csv").write_text("\n".join(lines) + "\n")
+    args = ["eval-track", "--tracks", str(tmp_path / "tracks.csv"), "--centers", str(tmp_path / "centers.csv")]
+    assert main(args) == 4
+    assert f"{tmp_path / name}.csv:3: {message}" in capsys.readouterr().err
 
 
 FLOAT_SETTINGS = [f.name for f in dataclasses.fields(RunConfig) if f.type in ("float", "Optional[float]")]

@@ -415,8 +415,9 @@ def _read_centers(path):
 STRATEGIES = {float: _floats(), int: _ints(), str: st.sampled_from(["tentative", "confirmed", "dead"])}
 # Event rejects a negative or non-finite timestamp; -0.0 passes that check.
 EVENT_TIMES = st.one_of(st.floats(0, allow_infinity=False), st.just(-0.0))
-# The labeled reader refuses a t that is NaN or infinite.
-FIRST_COLUMN = {"truth": EVENT_TIMES, "labeled": st.floats(allow_nan=False, allow_infinity=False)}
+# The labeled, tracks and centers readers refuse a t that is NaN or infinite.
+FINITE_TIMES = st.floats(allow_nan=False, allow_infinity=False)
+FIRST_COLUMN = {"truth": EVENT_TIMES, "labeled": FINITE_TIMES, "tracks": FINITE_TIMES, "centers": FINITE_TIMES}
 # name -> (column kinds, writer from columns, reader to columns)
 FORMATS = {
     "labeled": ((float, int, int, int, int, int), _write_labeled, _read_labeled),
@@ -523,7 +524,7 @@ def test_a_directory_is_not_an_input_file(tmp_path):
 # Rows the writers emitted before they wrote in chunks: the oracle for the
 # chunked writer.
 def one_pass_text(columns, data, header=None, sep=","):
-    text = [col if kind is str else map({float: repr, io.finite: repr, int: str}[kind], map(kind, col))
+    text = [col if kind in (str, io.track_status) else map({float: repr, io.finite: repr, int: str}[kind], map(kind, col))
             for (_, kind), col in zip(columns, data)]
     lines = [",".join(name for name, _ in columns) if header is None else header, *map(sep.join, zip(*text))]
     return "\n".join(lines) + "\n"
@@ -698,18 +699,18 @@ def test_csv_reader_equals_per_line_reader(tmp_path_factory, name, data, chunk_r
                "truth": io.TRUTH_COLUMNS, "centers": io.CENTERS_COLUMNS}[name]
     kinds = [kind for _, kind in columns]
     plain = {float: ["0.5", "-0.0", "1e-300", "nan", "inf", repr(0.1 + 0.2)], int: ["0", "-7", "12"],
-             str: ["confirmed", "dead"]}
+             io.track_status: ["confirmed", "dead"]}
     plain[io.finite] = plain[float]
     rows = [[data.draw(st.sampled_from(plain[k])) for k in kinds] for _ in range(data.draw(st.integers(0, 5)))]
     header = ",".join(io._names(columns))
     hard_headers = [header + " ", '"t"' + header[1:], header[:-1], header.upper(), "\ufeff" + header]
 
     def fields(size):
-        # a kind first, so that the one str column is not rare
+        # a kind first, so that the one status column is not rare
         columns = range(min(size, len(kinds)))
         column = st.sampled_from(list(dict.fromkeys(kinds[:size]))).flatmap(
             lambda kind: st.sampled_from([j for j in columns if kinds[j] is kind]))
-        return column.flatmap(lambda j: st.tuples(st.just(j), grouped(STATUS_TOKENS if kinds[j] is str else NUMBER_TOKENS)))
+        return column.flatmap(lambda j: st.tuples(st.just(j), grouped(STATUS_TOKENS if kinds[j] is io.track_status else NUMBER_TOKENS)))
 
     text = data.draw(edited_file(header, rows, ",", hard_headers, fields, [", ", " ,", "\x1c,", ",\u2003", ",\x1f", ";"]))
     path = tmp_path_factory.mktemp(name) / "f.csv"

@@ -6,12 +6,15 @@ the implementation under test.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from metrics_oracle import tracking_error_per_track
 
+from evshift import metrics
 from evshift.clustering import NOISE
 from evshift.errors import ContractViolationError, EmptyAlignmentError
 from evshift.metrics import (
@@ -333,6 +336,90 @@ def test_tracking_error_empty_inputs():
     truth_t, truth_obj, truth_xy = one_object_truth()
     with pytest.raises(EmptyAlignmentError):
         tracking_error(np.array([]), np.array([]), np.zeros((0, 2)), truth_t, truth_obj, truth_xy)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["sample", "center"])
+def test_tracking_error_refuses_non_finite_times(where, value):
+    # A NaN first sample used to leave its track unmatched, and other
+    # non-finite times were scored.
+    truth_t, truth_obj, truth_xy = one_object_truth()
+    ts = np.array([0.1, 0.2])
+    (ts if where == "sample" else truth_t)[0] = value
+    xy = np.array([[11.0, 10.0], [12.0, 10.0]])
+    with pytest.raises(ContractViolationError, match="times must be finite"):
+        tracking_error(ts, np.zeros(2, dtype=int), xy, truth_t, truth_obj, truth_xy)
+
+
+def test_tracking_error_interpolates_each_object_at_most_twice(monkeypatch):
+    calls = Counter()
+
+    def counted(truth_t, truth_obj, truth_xy, obj, times):
+        calls[int(obj)] += 1
+        return interpolate_centers(truth_t, truth_obj, truth_xy, obj, times)
+
+    monkeypatch.setattr(metrics, "interpolate_centers", counted)
+    truth_t = np.tile([0.0, 1.0], 3)
+    truth_obj = np.repeat([0, 1, 2], 2)
+    truth_xy = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 50.0], [10.0, 50.0], [0.0, 100.0], [10.0, 100.0]])
+    ts = np.tile(np.linspace(0.1, 0.9, 5), 20)
+    tid = np.repeat(np.arange(20), 5)
+    xy = np.stack([10.0 * ts, 50.0 * (tid % 3) + 1.0], axis=1)
+    rep = tracking_error(ts, tid, xy, truth_t, truth_obj, truth_xy)
+    assert rep.track_to_object == {k: k % 3 for k in range(20)}
+    assert calls == {0: 2, 1: 2, 2: 2}
+
+
+@st.composite
+def scored_tracks(draw):
+    """Track samples and true centers, as columns, whose draws include ties
+    in first-sample time, duplicate center times, samples outside an
+    object's center span, a track equidistant from two objects, one at the
+    same distance from two objects but for the rounding of the dot product,
+    and one beyond any match_radius drawn."""
+    coords = st.one_of(st.integers(-8, 8).map(float), st.floats(-20, 20))
+    places = st.one_of(coords, st.just(math.nan))  # a NaN distance never binds
+    centers, still = [], []  # (t, object, x, y); objects that do not move
+    for obj in draw(st.lists(st.integers(-2, 6), min_size=1, max_size=3, unique=True)):
+        # at an integer place, an object that does not move has exactly that center at any time
+        place = (float(draw(st.integers(-8, 8))), float(draw(st.integers(-8, 8)))) if draw(st.booleans()) else None
+        still += [(obj, place)] if place else []
+        for _ in range(draw(st.integers(1, 4))):
+            t = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1)))
+            centers.append((t, obj, *(place or (draw(places), draw(places)))))
+    samples = []
+    times = st.one_of(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0]), st.floats(-1, 2))
+    for track in draw(st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True)):
+        offset = draw(st.sampled_from([0.0, 1.0, 1000.0]))
+        samples += [(draw(times), track, draw(places) + offset, draw(places)) for _ in range(draw(st.integers(1, 6)))]
+    if len(still) >= 2 and draw(st.booleans()):
+        (_, a), (_, b) = still[:2]
+        t0 = draw(times)
+        samples.append((t0, 10, (a[0] + b[0]) / 2, (a[1] + b[1]) / 2))
+        samples += [(t0 + draw(st.floats(0, 1)), 10, draw(coords), draw(coords)) for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        # |(u, w)| and |(w, u)| are equal, but a dot product that fuses a
+        # multiply and an add may round them apart
+        u, w = draw(st.floats(-10, 10)), draw(st.floats(-10, 10))
+        centers += [(draw(times), 7, u, w), (draw(times), 8, w, u)]
+        samples.append((draw(times), 11, 0.0, 0.0))
+    samples, centers = draw(st.permutations(samples)), draw(st.permutations(centers))
+    sample_t, sample_track, sx, sy = map(np.array, zip(*samples))
+    truth_t, truth_obj, cx, cy = map(np.array, zip(*centers))
+    return sample_t, sample_track, np.stack([sx, sy], axis=1), truth_t, truth_obj, np.stack([cx, cy], axis=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scored_tracks(), threshold=st.sampled_from([0.0, 1.0, 2.5]), match_radius=st.sampled_from([2.5, 5.0, 15.0]))
+def test_tracking_error_equals_the_per_track_oracle(case, threshold, match_radius):
+    try:
+        want = tracking_error_per_track(*case, threshold, match_radius)
+    except EmptyAlignmentError:
+        with pytest.raises(EmptyAlignmentError):
+            tracking_error(*case, threshold, match_radius)
+        return
+    # repr tells every float bit and an int from a numpy int
+    assert repr(tracking_error(*case, threshold, match_radius)) == repr(want)
 
 
 def test_cluster_scores_equal_the_separate_metrics():
