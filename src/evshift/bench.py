@@ -28,14 +28,17 @@ from .synth import GeneratedScene, SceneSpec, _check_speed_factor, generate
 DEFAULT_FPS = 30.0
 
 
-def _check_inputs(factors: Sequence[float] = (), fps: float = DEFAULT_FPS, capacity: Optional[float] = None) -> None:
-    """Raise where a capacity, the fps or a speed factor is out of range."""
+def _check_inputs(
+    factors: Sequence[float] = (), fps: float = DEFAULT_FPS, capacity: Optional[float] = None, duration: float = 0.0
+) -> None:
+    """Raise where a capacity, the fps or a speed factor for a scene of
+    `duration` is out of range."""
     if capacity is not None and not (capacity > 0):
         raise ContractViolationError(f"capacity must be > 0, got {capacity}")
     if not (fps > 0):
         raise ContractViolationError(f"fps must be > 0, got {fps}")
     for factor in factors:
-        _check_speed_factor(factor)
+        _check_speed_factor(factor, duration)
 
 
 def frame_baseline(geom: SensorGeometry, fps: float = DEFAULT_FPS) -> float:
@@ -101,7 +104,7 @@ def measure_factor(
     capacity: Optional[float] = None,
 ) -> CostRow:
     """Generate the scene at one speed factor and account its cost."""
-    _check_inputs([factor], fps, capacity)
+    _check_inputs([factor], fps, capacity, scene.duration)
     return _account(generate(scene, speed_factor=factor), factor, params, fps, capacity)
 
 
@@ -150,7 +153,7 @@ def run_sweep(
     is rendered once: a speed factor only divides the times."""
     if not factors:
         raise ContractViolationError("need at least one speed factor")
-    _check_inputs(factors, fps, capacity)  # before the scene is rendered
+    _check_inputs(factors, fps, capacity, scene.duration)  # before the scene is rendered
     params = params or PipelineParams()
     gen = generate(scene)
     rows = [_account(gen.sped_up(f), f, params, fps, capacity) for f in factors]

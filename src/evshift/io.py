@@ -131,6 +131,8 @@ def _ruled(kind, col: np.ndarray) -> np.ndarray:
 
 # The column kind of a float that must be finite: NaN and the infinities are refused.
 finite = _Checked(float, np.isfinite, "finite")
+# The column kind of an event polarity in a labeled or truth file.
+polarity = _Checked(int, lambda col: np.isin(col, (0, 1)), "0 or 1")
 # The column kind of a track's status.
 track_status = _Checked(str, lambda col: np.isin(col, [s.value for s in TrackStatus]), "tentative, confirmed or dead")
 
@@ -336,8 +338,8 @@ def _parse_event_lines(path: str, lines: Iterable[str], first: int, file_geom: O
 
 
 # A CSV format: its (column name, kind) pairs in file order, kind being
-# float, int or str, or finite or track_status, which refuse some values of
-# their base kind.  The header is the names joined by commas.
+# float, int or str, or finite, polarity or track_status, which refuse some
+# values of their base kind.  The header is the names joined by commas.
 Columns = Tuple[Tuple[str, Callable[[str], object]], ...]
 
 
@@ -348,8 +350,9 @@ def _names(columns: Columns) -> List[str]:
 EVENT_COLUMNS: Columns = (("t", float), ("x", int), ("y", int), ("p", int))
 
 # A labeled row's t feeds the tracker's time steps, so NaN and the
-# infinities are refused where the file is read.
-LABELED_COLUMNS: Columns = (("t", finite), ("x", int), ("y", int), ("p", int), ("packet_id", int), ("cluster_id", int))
+# infinities are refused where the file is read, and so is a p other than
+# 0 or 1, as in an event file.
+LABELED_COLUMNS: Columns = (("t", finite), ("x", int), ("y", int), ("p", polarity), ("packet_id", int), ("cluster_id", int))
 LABELED_HEADER = _names(LABELED_COLUMNS)
 
 
@@ -440,7 +443,7 @@ def read_tracks(path: str) -> List[TrackRow]:
     return [TrackRow(*fields) for fields in zip(*(c.tolist() for c in cols))]
 
 
-TRUTH_COLUMNS: Columns = EVENT_COLUMNS + (("object_id", int),)
+TRUTH_COLUMNS: Columns = (("t", float), ("x", int), ("y", int), ("p", polarity), ("object_id", int))
 
 
 def write_truth(path: str, events: Iterable[Event], labels: np.ndarray) -> None:

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence, Tuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -47,6 +48,16 @@ _SUPPRESS_FRACTION = 0.1
 # into one factor changes the streams of scenes whose spacing squared is
 # not a power of two.
 _CHUNK_STEPS = 2000
+
+# The sizes of a scene that SceneSpec refuses beyond.  Rendering holds a few
+# (step, outline point) planes of _CHUNK_STEPS steps per shape, about 120 kB
+# per outline point; the noise events and the center samples take about 130
+# bytes each; the steps set the run time, about 3 s per million steps of a
+# small shape on a 2-core x86-64 host.
+MAX_OUTLINE_POINTS = 4_000
+MAX_STEPS = 10_000_000
+MAX_NOISE_EVENTS = 4_000_000
+MAX_CENTER_SAMPLES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -146,6 +157,18 @@ class SceneSpec:
         ids = [s.shape_id for s in self.shapes]
         if len(set(ids)) != len(ids):
             raise ContractViolationError(f"duplicate shape ids: {ids}")
+        # What generate holds at once or loops over, each capped far above the
+        # built-in scenes' 225, 100,000, 12,000 and 70,007, and checked before
+        # any array is made.
+        points = max((_outline_points(s.vertices, self.spacing) for s in self.shapes), default=0)
+        for what, size, cap in (
+            ("outline points of a shape", points, MAX_OUTLINE_POINTS),
+            ("time steps, duration / dt,", self.duration / self.dt, MAX_STEPS),
+            ("expected noise events, noise_rate * duration,", self.noise_rate * self.duration, MAX_NOISE_EVENTS),
+            ("center samples", (self.duration / self.centers_stride + 1) * len(self.shapes), MAX_CENTER_SAMPLES),
+        ):
+            if size > cap:
+                raise ContractViolationError(f"{what} must be at most {cap:,}, got {size:.6g}")
 
     @property
     def geometry(self) -> SensorGeometry:
@@ -172,6 +195,14 @@ def shoelace_centroid(vertices: Sequence[Tuple[float, float]]) -> Tuple[float, f
     cx = np.sum((x + xn) * cross) / (6.0 * a)
     cy = np.sum((y + yn) * cross) / (6.0 * a)
     return float(cx), float(cy)
+
+
+def _outline_points(vertices: Sequence[Tuple[float, float]], spacing: float) -> float:
+    """How many points _sample_outline puts on an outline, counted from its
+    edge lengths without sampling: max(1, round(length / spacing)) per edge."""
+    ends = tuple(vertices[1:]) + tuple(vertices[:1])
+    lengths = (math.hypot(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(vertices, ends))
+    return sum(max(1.0, float(np.rint(length / spacing))) for length in lengths if length >= 1e-12)
 
 
 def _ccw(vertices: Sequence[Tuple[float, float]]) -> np.ndarray:
@@ -253,7 +284,9 @@ class GeneratedScene:
     def sped_up(self, factor: float) -> "GeneratedScene":
         """The same recording replayed `factor` times faster: event times,
         center times and duration divided by the factor, all else shared."""
-        _check_speed_factor(factor)
+        # The last event and center sample may fall a little after the duration.
+        end = max(self.duration, float(self.events.t.max(initial=0.0)), float(self.centers_t.max(initial=0.0)))
+        _check_speed_factor(factor, end)
         return dataclasses.replace(
             self,
             events=EventStream(self.events.t / factor, self.events.x, self.events.y, self.events.p),
@@ -262,9 +295,13 @@ class GeneratedScene:
         )
 
 
-def _check_speed_factor(factor: float) -> None:
+def _check_speed_factor(factor: float, duration: float) -> None:
+    """Raise unless `factor` is > 0 and the times of a recording of
+    `duration`, divided by it, stay finite."""
     if not (factor > 0):
         raise ContractViolationError(f"speed factor must be > 0, got {factor}")
+    if not math.isfinite(duration / factor):
+        raise ContractViolationError(f"speed factor must keep times finite, got {factor}: {duration} / {factor} overflows")
 
 
 def generate(scene: SceneSpec, speed_factor: float = 1.0) -> GeneratedScene:
@@ -275,7 +312,7 @@ def generate(scene: SceneSpec, speed_factor: float = 1.0) -> GeneratedScene:
     by exactly that factor: generate(scene).sped_up(factor).  Deterministic
     for a fixed scene and factor.
     """
-    _check_speed_factor(speed_factor)
+    _check_speed_factor(speed_factor, scene.duration)
     rng = np.random.default_rng(scene.seed)
     # (t, x, y, p, label) column pieces; the empty first one sets the dtypes.
     pieces = [(np.zeros(0), *[np.zeros(0, dtype=int)] * 4)]
@@ -380,63 +417,37 @@ def generate(scene: SceneSpec, speed_factor: float = 1.0) -> GeneratedScene:
 
 
 def scene_to_dict(scene: SceneSpec) -> dict:
-    return {
-        "width": scene.width,
-        "height": scene.height,
-        "duration": scene.duration,
-        "spacing": scene.spacing,
-        "noise_rate": scene.noise_rate,
-        "seed": scene.seed,
-        "dt": scene.dt,
-        "centers_stride": scene.centers_stride,
-        "shapes": [
-            {
-                "shape_id": s.shape_id,
-                "vertices": [list(v) for v in s.vertices],
-                "polarity": s.polarity,
-                "keys": {
-                    "t": list(s.keys.t),
-                    "x": list(s.keys.x),
-                    "y": list(s.keys.y),
-                    "angle": list(s.keys.angle),
-                    "scale": list(s.keys.scale),
-                },
-            }
-            for s in scene.shapes
-        ],
-    }
+    """A scene as one key per field of SceneSpec, ShapeSpec and Keyframes, in
+    declaration order, tuples nested as they are declared."""
+    return dataclasses.asdict(scene)
 
 
 def scene_from_dict(d: dict) -> SceneSpec:
+    """The scene that a dict of scene_to_dict's form describes: a key with a
+    default may be left out, an unknown key is ignored.  A value of the
+    wrong form raises ContractViolationError."""
     try:
-        shapes = tuple(
-            ShapeSpec(
-                shape_id=int(s["shape_id"]),
-                vertices=tuple((float(a), float(b)) for a, b in s["vertices"]),
-                polarity=s.get("polarity", "motion"),
-                keys=Keyframes(
-                    t=tuple(float(v) for v in s["keys"]["t"]),
-                    x=tuple(float(v) for v in s["keys"]["x"]),
-                    y=tuple(float(v) for v in s["keys"]["y"]),
-                    angle=tuple(float(v) for v in s["keys"].get("angle", ())),
-                    scale=tuple(float(v) for v in s["keys"].get("scale", ())),
-                ),
-            )
-            for s in d["shapes"]
-        )
-        return SceneSpec(
-            width=int(d["width"]),
-            height=int(d["height"]),
-            duration=float(d["duration"]),
-            shapes=shapes,
-            spacing=float(d.get("spacing", 0.5)),
-            noise_rate=float(d.get("noise_rate", 0.0)),
-            seed=int(d.get("seed", 0)),
-            dt=float(d.get("dt", 1e-4)),
-            centers_stride=float(d.get("centers_stride", 1e-3)),
-        )
+        return _decoded(SceneSpec, d)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ContractViolationError(f"bad scene description: {exc}") from exc
+
+
+def _decoded(kind, value):
+    """`value`, read from JSON, as the declared type `kind` of a scene field:
+    a dataclass from a dict of its fields, a tuple from a list, an int or a
+    float through int() or float(), and an `object` as it is."""
+    if dataclasses.is_dataclass(kind):
+        hints = get_type_hints(kind)
+        fields = [f.name for f in dataclasses.fields(kind) if f.name in value or f.default is dataclasses.MISSING]
+        return kind(**{name: _decoded(hints[name], value[name]) for name in fields})
+    if get_origin(kind) is tuple:
+        args = get_args(kind)
+        if args[-1] is Ellipsis:
+            return tuple(_decoded(args[0], v) for v in value)
+        if len(value) != len(args):
+            raise ValueError(f"expected {len(args)} values, got {len(value)}")
+        return tuple(map(_decoded, args, value))
+    return value if kind is object else kind(value)
 
 
 def load_scene(path: str) -> SceneSpec:

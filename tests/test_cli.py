@@ -24,6 +24,7 @@ from evshift.io import (
 from evshift.errors import ContractViolationError, EmptyAlignmentError
 from evshift.events import Event
 from evshift.pipeline import PipelineParams, run_pipeline
+from evshift.scenes import build_scene
 from evshift.synth import Keyframes, SceneSpec, ShapeSpec, save_scene
 
 SQUARE = ((-7.0, -7.0), (7.0, -7.0), (7.0, 7.0), (-7.0, 7.0))
@@ -338,6 +339,44 @@ def test_exit_code_non_finite_label_time(tmp_path, capsys, value):
     assert not out.exists()
     assert main(["eval-cluster", "--pred", str(lab), "--truth", str(truth)]) == 4
     assert f"{lab}:3: t must be finite, got '{value}'" in capsys.readouterr().err
+
+
+def test_exit_code_polarity_not_binary(tmp_path, capsys):
+    # track and eval-cluster took a labeled or truth p of 7 and exited 0
+    lab = tmp_path / "lab.csv"
+    lab.write_text("t,x,y,p,packet_id,cluster_id\n0.1,1,2,0,0,0\n0.2,1,2,7,0,0\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_text("t,x,y,p,object_id\n0.1,1,2,0,0\n0.2,1,2,7,0\n")
+    out = tmp_path / "tracks.csv"
+    assert main(["track", "--in", str(lab), "--out", str(out)]) == 4
+    assert f"{lab}:3: p must be 0 or 1, got '7'" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["eval-cluster", "--pred", str(lab), "--truth", str(truth)]) == 4
+    assert f"{lab}:3: p must be 0 or 1, got '7'" in capsys.readouterr().err
+    lab.write_text("t,x,y,p,packet_id,cluster_id\n0.1,1,2,0,0,0\n0.2,1,2,1,0,0\n")
+    assert main(["eval-cluster", "--pred", str(lab), "--truth", str(truth)]) == 4
+    assert f"{truth}:3: p must be 0 or 1, got '7'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "bench"])
+def test_exit_code_speed_factor_that_overflows_times(tmp_path, capsys, scene_path, command):
+    # synth wrote inf timestamps and bench printed a reduction of 1.0, both exiting 0
+    out = tmp_path / "out"
+    factor = ["--speed-factor", "1e-310"] if command == "synth" else ["--factors", "1,1e-310"]
+    assert main([command, "--scene", scene_path, "--out", str(out), *factor]) == 6
+    assert "speed factor must keep times finite, got 1e-310" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_from_a_saved_builtin_scene_writes_the_same_bytes(tmp_path, capsys):
+    path = str(tmp_path / "ref.json")
+    save_scene(build_scene("reference"), path)
+    written = {}
+    for scene in ("reference", path):
+        outs = [str(tmp_path / f"{len(written)}.{name}") for name in ("events.txt", "truth.csv", "centers.csv")]
+        assert main(["synth", "--scene", scene, "--out", outs[0], "--truth", outs[1], "--centers", outs[2]]) == 0
+        written[scene] = [capsys.readouterr().out] + [open(out, "rb").read() for out in outs]
+    assert written["reference"] == written[path]
 
 
 def test_exit_code_stream_order(tmp_path, capsys):

@@ -417,7 +417,13 @@ STRATEGIES = {float: _floats(), int: _ints(), str: st.sampled_from(["tentative",
 EVENT_TIMES = st.one_of(st.floats(0, allow_infinity=False), st.just(-0.0))
 # The labeled, tracks and centers readers refuse a t that is NaN or infinite.
 FINITE_TIMES = st.floats(allow_nan=False, allow_infinity=False)
-FIRST_COLUMN = {"truth": EVENT_TIMES, "labeled": FINITE_TIMES, "tracks": FINITE_TIMES, "centers": FINITE_TIMES}
+# The labeled and truth readers refuse a p other than 0 or 1.
+POLARITIES = st.integers(0, 1)
+# (format, column index) -> the draws of a column that a reader's rule narrows
+RULED_COLUMN = {
+    ("truth", 0): EVENT_TIMES, ("labeled", 0): FINITE_TIMES, ("tracks", 0): FINITE_TIMES, ("centers", 0): FINITE_TIMES,
+    ("truth", 3): POLARITIES, ("labeled", 3): POLARITIES,
+}
 # name -> (column kinds, writer from columns, reader to columns)
 FORMATS = {
     "labeled": ((float, int, int, int, int, int), _write_labeled, _read_labeled),
@@ -432,7 +438,7 @@ FORMATS = {
 @given(data=st.data())
 def test_csv_round_trip_is_exact(tmp_path_factory, name, data):
     kinds, write, read = FORMATS[name]
-    strategies = [FIRST_COLUMN[name] if i == 0 and name in FIRST_COLUMN else STRATEGIES[k] for i, k in enumerate(kinds)]
+    strategies = [RULED_COLUMN.get((name, i), STRATEGIES[k]) for i, k in enumerate(kinds)]
     n = data.draw(st.integers(0, 6))
     cols = [data.draw(st.lists(s, min_size=n, max_size=n)) for s in strategies]
     directory = tmp_path_factory.mktemp(name)
@@ -524,7 +530,7 @@ def test_a_directory_is_not_an_input_file(tmp_path):
 # Rows the writers emitted before they wrote in chunks: the oracle for the
 # chunked writer.
 def one_pass_text(columns, data, header=None, sep=","):
-    text = [col if kind in (str, io.track_status) else map({float: repr, io.finite: repr, int: str}[kind], map(kind, col))
+    text = [col if kind in (str, io.track_status) else map({float: repr, io.finite: repr, int: str, io.polarity: str}[kind], map(kind, col))
             for (_, kind), col in zip(columns, data)]
     lines = [",".join(name for name, _ in columns) if header is None else header, *map(sep.join, zip(*text))]
     return "\n".join(lines) + "\n"
@@ -701,6 +707,7 @@ def test_csv_reader_equals_per_line_reader(tmp_path_factory, name, data, chunk_r
     plain = {float: ["0.5", "-0.0", "1e-300", "nan", "inf", repr(0.1 + 0.2)], int: ["0", "-7", "12"],
              io.track_status: ["confirmed", "dead"]}
     plain[io.finite] = plain[float]
+    plain[io.polarity] = ["0", "1"]
     rows = [[data.draw(st.sampled_from(plain[k])) for k in kinds] for _ in range(data.draw(st.integers(0, 5)))]
     header = ",".join(io._names(columns))
     hard_headers = [header + " ", '"t"' + header[1:], header[:-1], header.upper(), "\ufeff" + header]

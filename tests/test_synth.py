@@ -1,22 +1,30 @@
+import copy
 import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import synth_oracle
+from evshift.cli import main
 from evshift.errors import ContractViolationError, ParseError
 from evshift.events import EventStream
 from evshift.scenes import build_scene
 from evshift.synth import (
     _CHUNK_STEPS,
+    MAX_CENTER_SAMPLES,
+    MAX_NOISE_EVENTS,
+    MAX_OUTLINE_POINTS,
+    MAX_STEPS,
     NOISE_LABEL,
     GeneratedScene,
     Keyframes,
     SceneSpec,
     ShapeSpec,
+    _outline_points,
     _sample_outline,
     generate,
     load_scene,
@@ -192,8 +200,28 @@ def test_scene_file_errors(tmp_path):
     missing.write_text(json.dumps({"width": 10}))
     with pytest.raises(ParseError):
         load_scene(str(missing))
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="bad scene description: 'height'"):
         scene_from_dict({"width": 10})
+    d = scene_to_dict(square_scene())
+    for vertex in ([1.0], [1.0, 2.0, 3.0]):
+        d["shapes"][0]["vertices"] = [vertex, *SQUARE[1:]]
+        with pytest.raises(ContractViolationError, match=f"bad scene description: expected 2 values, got {len(vertex)}"):
+            scene_from_dict(d)
+
+
+@pytest.mark.parametrize("name", ["reference", "tracking", "stability"])
+def test_scene_files_of_the_hand_written_codec_load(tmp_path, name):
+    scene = build_scene(name)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(synth_oracle.scene_to_dict(scene), indent=2) + "\n")
+    assert load_scene(str(path)) == scene
+    # save_scene writes the same content, its keys in declaration order
+    save_scene(scene, str(path))
+    with open(path) as fh:
+        saved = json.load(fh)
+    assert saved == json.loads(json.dumps(synth_oracle.scene_to_dict(scene)))
+    assert list(saved) == [f.name for f in dataclasses.fields(SceneSpec)]
+    assert list(saved["shapes"][0]) == [f.name for f in dataclasses.fields(ShapeSpec)]
 
 
 def test_scene_validation():
@@ -217,6 +245,136 @@ def test_scene_validation():
             ShapeSpec(shape_id=0, vertices=SQUARE[:2] + ((bad, 1.0),), keys=Keyframes(t=(0.0,), x=(0.0,), y=(0.0,)))
         with pytest.raises(ContractViolationError, match="must be finite"):
             Keyframes(t=(0.0, 1.0), x=(0.0, 1.0), y=(0.0, 1.0), scale=(1.0, bad))
+
+
+# The sizes of the built-in scenes and, past each cap, the value that breaks it.
+# None of these tests renders a scene.
+@pytest.mark.parametrize("change, message", [
+    (dict(spacing=1e-7), f"outline points of a shape must be at most {MAX_OUTLINE_POINTS:,}, got 1.11679e+09"),
+    (dict(noise_rate=1e15), f"expected noise events, noise_rate * duration, must be at most {MAX_NOISE_EVENTS:,}, got 6e+14"),
+    (dict(centers_stride=1e-12), f"center samples must be at most {MAX_CENTER_SAMPLES:,}, got 3e+12"),
+    (dict(duration=1e9), f"time steps, duration / dt, must be at most {MAX_STEPS:,}, got 1e+13"),
+    (dict(dt=1e-12), "time steps, duration / dt, must be at most"),
+])
+def test_scene_caps(tmp_path, capsys, change, message):
+    scene = build_scene("reference")
+    with pytest.raises(ContractViolationError) as info:
+        dataclasses.replace(scene, **change)
+    assert str(info.value).startswith(message)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(scene_to_dict(scene), **change)))
+    with pytest.raises(ParseError) as info:
+        load_scene(str(path))
+    assert str(info.value).startswith(f"{path}: {message}")
+    # bench reads the scene file before it checks the factors, and refuses
+    # a factor of 0 before it renders anything
+    assert main(["bench", "--scene", str(path), "--factors", "0"]) == 4
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+
+def test_scene_caps_sit_far_above_the_builtin_scenes():
+    sizes = []
+    for name in ("reference", "tracking", "stability"):
+        s = build_scene(name)
+        sizes.append((
+            max(len(_sample_outline(shape.vertices, s.spacing)[0]) for shape in s.shapes),
+            round(s.duration / s.dt),
+            s.noise_rate * s.duration,
+            (round(s.duration / s.centers_stride) + 1) * len(s.shapes),
+        ))
+    most = [max(column) for column in zip(*sizes)]
+    assert most == [225, 100_000, 12_000, 70_007]
+    caps = [MAX_OUTLINE_POINTS, MAX_STEPS, MAX_NOISE_EVENTS, MAX_CENTER_SAMPLES]
+    assert all(cap >= 10 * size for cap, size in zip(caps, most))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    vertices=st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)), min_size=3, max_size=8),
+    repeat=st.booleans(),
+    spacing=st.floats(0.05, 30.0),
+)
+def test_outline_points_count_what_sample_outline_samples(vertices, repeat, spacing):
+    if repeat:  # an edge of zero length gets no points
+        vertices = vertices[:1] + vertices
+    points = _outline_points(tuple(vertices), spacing)
+    assume(points > 0)  # _sample_outline needs an edge of nonzero length
+    assert points == len(_sample_outline(vertices, spacing)[0])
+
+
+def test_speed_factor_that_overflows_times_is_refused():
+    scene = square_scene()
+    with pytest.raises(ContractViolationError, match="speed factor must keep times finite, got 1e-310"):
+        generate(scene, speed_factor=1e-310)
+    # a factor that only makes the times tiny stays accepted
+    assert generate(scene, speed_factor=1e300).duration == 1e-300
+    # The last center sample falls 0.9e-12 after the duration, and a factor
+    # that keeps the duration finite may still overflow it.
+    shape = ShapeSpec(shape_id=0, vertices=SQUARE, keys=Keyframes(t=(0.0,), x=(50.0,), y=(25.0,)))
+    tiny = SceneSpec(width=100, height=50, duration=1e-12, shapes=(shape,), centers_stride=1.9e-12)
+    assert math.isfinite(tiny.duration / 8e-321)
+    with pytest.raises(ContractViolationError, match="speed factor must keep times finite, got 8e-321"):
+        generate(tiny, speed_factor=8e-321)
+
+
+# --- Differential property: the scene codec against the hand-written one.
+
+BUILTIN_SCENES = [build_scene(name) for name in ("reference", "tracking", "stability")]
+FIELD_NAMES = sorted({f.name for cls in (SceneSpec, ShapeSpec, Keyframes) for f in dataclasses.fields(cls)})
+MUTANT_VALUES = [None, True, False, "", "x", "12", "1.5", [], [1.0], [1.0, 2.0, 3.0], {}, {"t": [0.0]},
+                 math.nan, 1e308, -1e308, 2**70, 2.5, -1, 0]
+
+
+def _paths(value, path=()):
+    """The path of every value nested in a JSON value, the value's own first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, v in items:
+        yield from _paths(v, path + (key,))
+
+
+@st.composite
+def mutated_scene_dicts(draw):
+    scene = draw(st.one_of(st.sampled_from(BUILTIN_SCENES), scenes_with_keys()))
+    d = json.loads(json.dumps(synth_oracle.scene_to_dict(scene)))
+    for _ in range(draw(st.integers(1, 3))):
+        # every field as likely as any other, whatever the number of its values
+        by_field = {}
+        for path in _paths(d):
+            by_field.setdefault(tuple(k for k in path if isinstance(k, str)), []).append(path)
+        path = draw(st.sampled_from(by_field[draw(st.sampled_from(sorted(by_field)))]))
+        container = d
+        for key in path[:-1]:
+            container = container[key]
+        value = container[path[-1]] if path else d
+        how = draw(st.sampled_from(["drop", "add", "set"]))
+        new = copy.deepcopy(draw(st.sampled_from(MUTANT_VALUES + [3.0])))
+        if how == "drop" and path:
+            del container[path[-1]]  # in a vertex: one value
+        elif how == "add" and isinstance(value, dict):
+            value[draw(st.sampled_from(FIELD_NAMES + ["extra"]))] = new
+        elif how == "add" and isinstance(value, list):
+            value.append(new)  # in a vertex: three values
+        elif path:
+            container[path[-1]] = new
+        else:
+            d = new
+    return d
+
+
+def _decoded(decode, d):
+    """The repr of the scene that `decode` reads from a copy of `d`, which
+    tells 240 from 240.0, or the class of its refusal."""
+    try:
+        return repr(decode(copy.deepcopy(d)))
+    except ContractViolationError:
+        return ContractViolationError
+
+
+@settings(max_examples=400, deadline=None)
+@given(d=mutated_scene_dicts())
+def test_scene_from_dict_equals_hand_written_codec(d):
+    assert _decoded(scene_from_dict, d) == _decoded(synth_oracle.scene_from_dict, d)
 
 
 # --- Oracle: the plain renderer, with full position and velocity arrays for
