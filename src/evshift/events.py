@@ -15,29 +15,45 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from functools import partial
+from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
 from .errors import ContractViolationError, OutOfBoundsError, StreamOrderError, require_finite
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One asynchronous sensor sample.
-
-    t is in seconds, x/y are integer pixel indices, p is the polarity of the
-    intensity change (True = positive).
-    """
-
+class _EventFields(NamedTuple):
     t: float
     x: int
     y: int
     p: bool
 
-    def __post_init__(self):
-        if not math.isfinite(self.t) or self.t < 0:
-            raise ContractViolationError(f"event timestamp must be finite and >= 0, got {self.t}")
+
+class Event(_EventFields):
+    """One asynchronous sensor sample, a named tuple (t, x, y, p).
+
+    t is in seconds, x/y are integer pixel indices, p is the polarity of the
+    intensity change (True = positive).  Every way to build one, _make and
+    _replace included, checks t.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, t: float, x: int, y: int, p: bool):
+        if not math.isfinite(t) or t < 0:
+            raise ContractViolationError(f"event timestamp must be finite and >= 0, got {t}")
+        return tuple.__new__(cls, (t, x, y, p))
+
+    @classmethod
+    def _make(cls, iterable) -> "Event":
+        return cls(*iterable)
+
+    def _replace(self, **changes) -> "Event":
+        unknown = changes.keys() - self._fields
+        if unknown:
+            raise ValueError(f"Got unexpected field names: {sorted(unknown)!r}")
+        return type(self)(**{**self._asdict(), **changes})
 
 
 @dataclass(frozen=True)
@@ -123,7 +139,12 @@ class EventStream(Sequence[Event]):
         return EventStream(self.t[key], self.x[key], self.y[key], self.p[key])
 
     def __iter__(self) -> Iterator[Event]:
-        return map(Event, self.t.tolist(), self.x.tolist(), self.y.tolist(), self.p.tolist())
+        columns = self.t.tolist(), self.x.tolist(), self.y.tolist(), self.p.tolist()
+        t = self.t
+        if len(t) and not (t.min() >= 0 and t.max() < math.inf):  # a nan fails both
+            return map(Event, *columns)  # the same events, up to the one Event refuses
+        # Every t passes Event's check, so the tuples are built without it.
+        return map(partial(tuple.__new__, Event), zip(*columns))
 
     @staticmethod
     def concat(parts: Sequence["EventStream"]) -> "EventStream":

@@ -18,6 +18,14 @@ operand order that fixes its rounding, so the streams stay bit for bit
 the same whatever the layout of the work.  Shapes without angle and scale
 keys skip the turn and the scaling, which change no bit that reaches an
 output.
+
+The quiet test, gain < 0.1 * hypot(vx, vy), needs no hypot per cell for
+such a shape: every cell of a step moves with the step's key velocity,
+but for the rounding of the position sums, a few units in the last place
+of the step's largest coordinate over dt.  So each step gets a lower and
+an upper bound on 0.1 * hypot; a gain below the lower one is quiet, one
+at or above the upper one is not, and only the cells between them (none
+in the built-in scenes) take the hypot.
 """
 
 from __future__ import annotations
@@ -120,8 +128,14 @@ class ShapeSpec:
 
     def __post_init__(self):
         require_finite(self)
+        if not 0 <= self.shape_id < 2**63:  # -1 is NOISE_LABEL; outputs hold ids as int64
+            raise ContractViolationError(f"shape_id must be >= 0 and < 2**63, got {self.shape_id}")
         if len(self.vertices) < 3:
             raise ContractViolationError("polygon needs at least 3 vertices")
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge vertex is for the caps to refuse
+            area = _signed_area(self.vertices)
+        if abs(area) < 1e-12:
+            raise ContractViolationError("polygon has zero area")
         if self.polarity not in ("motion", 0, 1):
             raise ContractViolationError(f"polarity must be 'motion', 0 or 1, got {self.polarity!r}")
 
@@ -144,6 +158,9 @@ class SceneSpec:
         require_finite(self)
         if self.width < 1 or self.height < 1:
             raise ContractViolationError("sensor must be at least 1x1")
+        for name in ("width", "height"):
+            if getattr(self, name) >= 2**63:  # pixels are int64
+                raise ContractViolationError(f"{name} must be < 2**63, got {getattr(self, name)}")
         if not (self.duration > 0):
             raise ContractViolationError(f"duration must be > 0, got {self.duration}")
         if not (self.spacing > 0):
@@ -183,13 +200,20 @@ def regular_polygon(n: int, radius: float, phase: float = 0.0) -> Tuple[Tuple[fl
     return tuple((float(radius * np.cos(a)), float(radius * np.sin(a))) for a in ang)
 
 
+def _signed_area(vertices: Sequence[Tuple[float, float]]) -> float:
+    """Shoelace area of a polygon, positive when it runs counterclockwise."""
+    v = np.asarray(vertices, dtype=float)
+    x, y = v[:, 0], v[:, 1]
+    return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+
+
 def shoelace_centroid(vertices: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
     """Area centroid of a simple polygon."""
     v = np.asarray(vertices, dtype=float)
     x, y = v[:, 0], v[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
     cross = x * yn - xn * y
-    a = 0.5 * np.sum(cross)
+    a = _signed_area(v)
     if abs(a) < 1e-12:
         raise ContractViolationError("polygon has zero area")
     cx = np.sum((x + xn) * cross) / (6.0 * a)
@@ -207,9 +231,7 @@ def _outline_points(vertices: Sequence[Tuple[float, float]], spacing: float) -> 
 
 def _ccw(vertices: Sequence[Tuple[float, float]]) -> np.ndarray:
     v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    a = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-    return v if a > 0 else v[::-1].copy()
+    return v if _signed_area(v) > 0 else v[::-1].copy()
 
 
 def _sample_outline(vertices, spacing) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,16 +279,57 @@ def _world(bx, by, tx, ty, c, s, sc) -> Tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _world_planes(bx, by, keys: Keyframes, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Contiguous (k, n) x and y planes of n base points under the poses at
-    k times.  Without angle and scale keys the pose is angle 0 and scale 1,
-    so the planes are tx + bx and ty + by: turning by cos 0 = 1, sin 0 = 0
-    and scaling by 1 are exact up to the sign of a zero, which no output
-    depends on."""
-    tx, ty, ang, sc = keys.pose(times)
-    if keys.translation_only:
+def _world_planes(bx, by, pose, translation_only: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Contiguous (k, n) x and y planes of n base points under k poses
+    (tx, ty, angle, scale).  Without angle and scale keys the pose is angle 0
+    and scale 1, so the planes are tx + bx and ty + by: turning by cos 0 = 1,
+    sin 0 = 0 and scaling by 1 are exact up to the sign of a zero, which no
+    output depends on."""
+    tx, ty, ang, sc = pose
+    if translation_only:
         return tx[:, None] + bx, ty[:, None] + by
     return _world(bx, by, tx[:, None], ty[:, None], np.cos(ang)[:, None], np.sin(ang)[:, None], sc[:, None])
+
+
+def _quiet_bounds(ahead, behind, bx, by, dt) -> Tuple[np.ndarray, np.ndarray]:
+    """Per step, a lower and an upper bound on _SUPPRESS_FRACTION *
+    hypot(vx, vy) over the cells of a shape that only translates, its
+    velocity planes built from the poses `ahead` and `behind` as generate
+    builds them.  A cell's velocity ((tx+ + bx) - (tx- + bx)) / dt differs
+    from the step's key velocity (tx+ - tx-) / dt only by rounding: by less
+    than 6 units of 2**-53 of the step's largest |tx| + |bx|, over dt, in x
+    and likewise in y.  The spread, 2**-48 of both sums together over dt,
+    covers that and the rounding of the key velocity and its hypot; a
+    relative 2**-46 and an absolute 2**-1000 cover the rounding of the
+    bounds themselves and of subnormal speeds.  A step whose key does not
+    move has every velocity 0, so bounds 0 keep every cell loud, as 0 < 0
+    does; a step whose bounds overflow gets -inf and inf."""
+    (txp, typ), (txm, tym) = ahead[:2], behind[:2]
+    with np.errstate(over="ignore", invalid="ignore"):  # such steps are wide
+        key = np.hypot((txp - txm) / dt, (typ - tym) / dt)
+        reach = np.maximum(abs(txp), abs(txm)) + abs(bx).max() + np.maximum(abs(typ), abs(tym)) + abs(by).max()
+        spread = reach * 2.0**-48 / dt
+        lower = (key - spread) * (_SUPPRESS_FRACTION * (1 - 2.0**-46)) - 2.0**-1000
+        upper = (key + spread) * (_SUPPRESS_FRACTION * (1 + 2.0**-46)) + 2.0**-1000
+        wide = ~(np.isfinite(4 * reach) & np.isfinite(4 * (key + spread)))
+    lower[wide], upper[wide] = -np.inf, np.inf
+    still = (txp == txm) & (typ == tym)
+    lower[still], upper[still] = 0.0, 0.0
+    return lower, upper
+
+
+def _quiet_cells(gain, vx, vy, lower, upper) -> np.ndarray:
+    """gain < _SUPPRESS_FRACTION * hypot(vx, vy), per cell of (k, n) planes,
+    given per-row bounds on the right side (_quiet_bounds): a gain below
+    the lower bound is quiet, one at or above the upper bound is not, and
+    only the cells between take the hypot."""
+    quiet = gain < lower[:, None]
+    unsure = gain < upper[:, None]
+    unsure ^= quiet
+    if unsure.any():
+        kk, ii = np.nonzero(unsure)
+        quiet[kk, ii] = gain[kk, ii] < np.hypot(vx[kk, ii], vy[kk, ii]) * _SUPPRESS_FRACTION
+    return quiet
 
 
 @dataclass
@@ -330,8 +393,9 @@ def generate(scene: SceneSpec, speed_factor: float = 1.0) -> GeneratedScene:
             k1 = min(k0 + _CHUNK_STEPS, n_steps)
             times = (np.arange(k0, k1) + 0.5) * dt
             half = 0.5 * dt
-            vx, vy = _world_planes(bx, by, shape.keys, times + half)
-            mx, my = _world_planes(bx, by, shape.keys, times - half)
+            ahead, behind = shape.keys.pose(times + half), shape.keys.pose(times - half)
+            vx, vy = _world_planes(bx, by, ahead, shape.keys.translation_only)
+            mx, my = _world_planes(bx, by, behind, shape.keys.translation_only)
             vx -= mx
             vx /= dt
             vy -= my
@@ -349,11 +413,15 @@ def generate(scene: SceneSpec, speed_factor: float = 1.0) -> GeneratedScene:
             vn += vy * ny
             # Accumulator gain per step: rate * dt, the rate |vn| * ds / spacing**2
             # or 0 where the outline moves almost along itself.
-            # mx and my are free again: they take the speed and the accumulators.
+            # mx and my are free again: mx takes the speed of a shape that turns
+            # or scales, my the accumulators.
             gain = np.abs(vn)
-            speed = np.hypot(vx, vy, out=mx)
-            speed *= _SUPPRESS_FRACTION
-            quiet = gain < speed
+            if shape.keys.translation_only:
+                quiet = _quiet_cells(gain, vx, vy, *_quiet_bounds(ahead, behind, bx, by, dt))
+            else:
+                speed = np.hypot(vx, vy, out=mx)
+                speed *= _SUPPRESS_FRACTION
+                quiet = gain < speed
             gain *= ds
             gain /= scene.spacing * scene.spacing
             gain[quiet] = 0.0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,13 +23,79 @@ def one_feature(e, geom, dp):
     return feature_matrix([e.t], [e.x], [e.y], [e.p], geom, dp)[0]
 
 
+BAD_TIMES = [math.nan, math.inf, -math.inf, -0.5, -5e-324]
+
+
 def test_event_rejects_bad_timestamps():
-    with pytest.raises(ContractViolationError):
-        Event(t=float("nan"), x=0, y=0, p=True)
-    with pytest.raises(ContractViolationError):
-        Event(t=float("inf"), x=0, y=0, p=True)
-    with pytest.raises(ContractViolationError):
-        Event(t=-0.5, x=0, y=0, p=True)
+    """Every way to build an Event checks t, with one message."""
+    good = Event(t=0.5, x=1, y=2, p=True)
+    for bad in BAD_TIMES:
+        message = re.escape(f"event timestamp must be finite and >= 0, got {bad}")
+        with pytest.raises(ContractViolationError, match=message):
+            Event(t=bad, x=0, y=0, p=True)
+        with pytest.raises(ContractViolationError, match=message):
+            Event._make([bad, 0, 0, True])
+        with pytest.raises(ContractViolationError, match=message):
+            good._replace(t=bad)
+    assert good._replace(x=7) == Event(0.5, 7, 2, True)
+    assert Event._make((0.0, 1, 2, 0)) == Event(0.0, 1, 2, 0)
+    with pytest.raises(ValueError, match="unexpected field names"):
+        good._replace(z=1)
+
+
+def test_event_is_a_named_tuple():
+    e = Event(t=0.25, x=3, y=4, p=1)
+    assert e == (0.25, 3, 4, 1) and hash(e) == hash((0.25, 3, 4, 1))
+    t, x, y, p = e
+    assert (t, x, y, p) == (e.t, e.x, e.y, e.p) == (e[0], e[1], e[2], e[3])
+    assert repr(e) == "Event(t=0.25, x=3, y=4, p=1)"
+    assert e._fields == ("t", "x", "y", "p")
+    with pytest.raises(AttributeError):
+        e.t = 1.0
+
+
+def checked_one_by_one(stream):
+    """The events of a stream built one at a time by Event, and the message
+    of the error that stopped them, or None."""
+    events = []
+    for values in zip(stream.t.tolist(), stream.x.tolist(), stream.y.tolist(), stream.p.tolist()):
+        try:
+            events.append(Event(*values))
+        except ContractViolationError as exc:
+            return events, str(exc)
+    return events, None
+
+
+def iterated(stream):
+    events = []
+    try:
+        for e in stream:
+            events.append(e)
+    except ContractViolationError as exc:
+        return events, str(exc)
+    return events, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t=st.lists(st.floats(0.0, 1e6) | st.sampled_from([0.0, -0.0, 5e-324, 1.7e308]), max_size=40),
+    bad=st.lists(st.tuples(st.integers(0, 39), st.sampled_from(BAD_TIMES)), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_iteration_equals_checked_construction(t, bad, seed):
+    for i, value in bad:
+        if i < len(t):
+            t[i] = value
+    rng = np.random.default_rng(seed)
+    n = len(t)
+    stream = EventStream(t, rng.integers(-9, 300, n), rng.integers(-9, 300, n), rng.integers(-1, 3, n))
+    want_events, want_error = checked_one_by_one(stream)
+    got_events, got_error = iterated(stream)
+    assert got_error == want_error
+    assert [type(e) for e in got_events] == [Event] * len(want_events)
+    assert [tuple(map(repr, e)) for e in got_events] == [tuple(map(repr, e)) for e in want_events]
+    if want_error is None:
+        assert [stream[i] for i in range(n)] == got_events
 
 
 def test_out_of_bounds_event_rejected_at_featurization():

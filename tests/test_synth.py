@@ -25,7 +25,10 @@ from evshift.synth import (
     SceneSpec,
     ShapeSpec,
     _outline_points,
+    _quiet_bounds,
+    _quiet_cells,
     _sample_outline,
+    _world_planes,
     generate,
     load_scene,
     regular_polygon,
@@ -270,6 +273,38 @@ def test_scene_caps(tmp_path, capsys, change, message):
     # a factor of 0 before it renders anything
     assert main(["bench", "--scene", str(path), "--factors", "0"]) == 4
     assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+
+def _first_shape(d, **change):
+    d["shapes"][0].update(change)
+    return d
+
+
+# Each exited otherwise before it was refused at load_scene: equal vertices
+# with a traceback, collinear ones with 6 after rendering, shape_id 2**70 and
+# width 2**70 with tracebacks, and shape_id -1 (the noise label) with 0.
+@pytest.mark.parametrize("change, message", [
+    (lambda d: _first_shape(d, vertices=[[3.0, 4.0]] * 3), "polygon has zero area"),
+    (lambda d: _first_shape(d, vertices=[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]), "polygon has zero area"),
+    (lambda d: _first_shape(d, shape_id=2**70), f"shape_id must be >= 0 and < 2**63, got {2**70}"),
+    (lambda d: _first_shape(d, shape_id=-1), "shape_id must be >= 0 and < 2**63, got -1"),
+    (lambda d: dict(d, width=2**70), f"width must be < 2**63, got {2**70}"),
+    (lambda d: dict(d, height=2**63), f"height must be < 2**63, got {2**63}"),
+], ids=["equal vertices", "collinear vertices", "shape_id 2**70", "shape_id -1", "width 2**70", "height 2**63"])
+def test_scene_file_out_of_range_exits_4_before_rendering(tmp_path, capsys, change, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(change(scene_to_dict(build_scene("reference")))))
+    out = tmp_path / "events.txt"
+    assert main(["synth", "--scene", str(path), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
+
+
+def test_largest_ids_and_sizes_are_accepted():
+    shape = ShapeSpec(shape_id=2**63 - 1, vertices=SQUARE, keys=Keyframes(t=(0.0,), x=(50.0,), y=(25.0,)))
+    g = generate(SceneSpec(width=2**63 - 1, height=2**63 - 1, duration=0.01, shapes=(shape,), noise_rate=300.0))
+    assert g.centers_obj.tolist() == [2**63 - 1] * 11
+    assert len(g.events) == int((g.labels == NOISE_LABEL).sum()) > 0
 
 
 def test_scene_caps_sit_far_above_the_builtin_scenes():
@@ -537,6 +572,88 @@ def scenes_with_keys(draw):
 @given(scene=scenes_with_keys(), factor=st.sampled_from([1.0, 2.0, 4.0]))
 def test_generate_matches_full_plane_oracle(scene, factor):
     assert_same_bits(generate(scene, factor), oracle_generate(scene, factor))
+
+
+# Keyframe coordinates where the rounding of tx + bx dwarfs the motion, keys
+# that move by 1e-9 px, keys that stand still, and shapes with one keyframe.
+EXTREME_BASES = [0.0, 41.5, 3.0e5, 1e9, 1e12]
+EXTREME_STEPS = [0.0, 0.0, 1e-9, -1e-9, 3e-7, 0.25, -4.0, 30.0]
+
+
+@st.composite
+def extreme_translation_scenes(draw):
+    dt = draw(st.sampled_from([1e-4, 7e-5, 2.3e-4]))
+    duration = draw(st.integers(300, 2500)) * dt
+    shapes = []
+    base_x, base_y = draw(st.sampled_from(EXTREME_BASES)), draw(st.sampled_from(EXTREME_BASES))
+    for shape_id in range(draw(st.integers(1, 3))):
+        n_keys = draw(st.integers(1, 5))
+        t = sorted(draw(st.lists(st.floats(0.0, duration), min_size=n_keys, max_size=n_keys, unique=True)))
+        if any(b - a < 1e-6 for a, b in zip(t, t[1:])):
+            t = [t[0]]
+
+        def coords(base):
+            steps = draw(st.lists(st.sampled_from(EXTREME_STEPS), min_size=len(t) - 1, max_size=len(t) - 1))
+            return tuple(np.cumsum([base + draw(st.floats(20.0, 60.0))] + steps).tolist())
+
+        keys = Keyframes(t=tuple(t), x=coords(base_x), y=coords(base_y))
+        vertices = regular_polygon(draw(st.integers(3, 8)), draw(st.floats(3.0, 20.0)), draw(st.floats(0.0, 3.2)))
+        shapes.append(ShapeSpec(shape_id=shape_id, vertices=vertices, keys=keys,
+                                polarity=draw(st.sampled_from(["motion", 0, 1]))))
+    return SceneSpec(  # a sensor of 2**41 px keeps the events of shapes 1e12 px out
+        width=2**41, height=2**41, duration=duration, shapes=tuple(shapes),
+        spacing=draw(st.floats(0.37, 1.3)), seed=draw(st.integers(0, 2**16)), dt=dt,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(scene=extreme_translation_scenes())
+def test_extreme_translations_match_full_plane_oracle(scene):
+    assert_same_bits(generate(scene), oracle_generate(scene))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dt=st.sampled_from([1e-4, 7e-5, 2.3e-4, 1e-300, 1e300]),
+    # sums that cross a power of two round on two grids
+    bases=st.lists(st.sampled_from(EXTREME_BASES + [2.0**40 - 4.0, -2.0**30, 1e300, -1.7e308]),
+                   min_size=2, max_size=2),
+    steps=st.lists(st.sampled_from(EXTREME_STEPS + [1e-300, 1e300]), min_size=4, max_size=4),
+    phase=st.floats(0.0, 3.2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quiet_cells_equal_the_hypot_test(dt, bases, steps, phase, seed):
+    """Every cell's quiet bit, as _quiet_cells gives it on the velocity
+    planes of a translating shape and as the hypot per cell gives it, for
+    gains drawn at and next to each cell's own threshold."""
+    rng = np.random.default_rng(seed)
+    x, y = (tuple(base + np.cumsum([0.0, *s])) for base, s in zip(bases, (steps[:2], steps[2:])))
+    keys = Keyframes(t=(0.0, 1.0, 2.0), x=x, y=y)
+    bx, by = np.asarray(regular_polygon(9, 9.0, phase)).T.copy()
+    times = np.concatenate([rng.uniform(-0.5, 2.5, 40), [0.0, 1.0, 2.0, 3.0]])
+    half = 0.5 * dt
+    ahead, behind = keys.pose(times + half), keys.pose(times - half)
+    with np.errstate(all="ignore"):
+        vx, vy = _world_planes(bx, by, ahead, True)
+        mx, my = _world_planes(bx, by, behind, True)
+        vx, vy = (vx - mx) / dt, (vy - my) / dt
+        threshold = np.hypot(vx, vy) * 0.1
+        gain = np.choose(rng.integers(0, 4, threshold.shape), [
+            np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, np.inf),
+            np.abs(vx * np.cos(phase) + vy * np.sin(phase)),
+        ])
+        quiet = _quiet_cells(gain, vx, vy, *_quiet_bounds(ahead, behind, bx, by, dt))
+    assert np.array_equal(quiet, gain < threshold)
+
+
+def test_quiet_bounds_of_still_and_overflowing_steps():
+    keys = Keyframes(t=(0.0, 1.0, 2.0), x=(5.0, 5.0, 1e308), y=(7.0, 7.0, -1e308))
+    times = np.array([0.5, 1.5])
+    lower, upper = _quiet_bounds(keys.pose(times + 0.01), keys.pose(times - 0.01), np.ones(3), np.ones(3), 0.02)
+    # a step whose key stands still keeps every cell loud, as 0 < 0 does
+    assert (lower[0], upper[0]) == (0.0, 0.0)
+    # one whose bounds overflow takes the hypot in every cell
+    assert (lower[1], upper[1]) == (-np.inf, np.inf)
 
 
 @pytest.mark.parametrize("name", ["reference", "tracking", "stability"])
