@@ -107,7 +107,8 @@ def feature_matrix(t, x, y, p, geom: SensorGeometry, params: DecayParams) -> np.
     fx = x / (geom.width - 1) if geom.width > 1 else np.zeros(len(x))
     fy = y / (geom.height - 1) if geom.height > 1 else np.zeros(len(y))
     fp = (np.asarray(p) != 0).astype(float)
-    ft = np.exp(-(t.max() - t) / params.tau)
+    with np.errstate(over="ignore"):  # an age that overflows over tau decays to exp(-inf) = 0, exactly
+        ft = np.exp(-(t.max() - t) / params.tau)
     return np.column_stack([fx, fy, fp, ft])
 
 

@@ -19,10 +19,10 @@ chunks, and the gravest raises at the end of the file, so that the error
 and its line do not depend on where the chunks begin.  Only an event file
 with an event before its header is read whole at once.
 
-Writers stream chunks of rows into a temp file that is then renamed over
-the target, so readers never observe a partial file and no writer holds
-the whole text.  Floats are written with repr(), so identical data
-produces identical bytes and reads back exactly.
+Writers stream pieces of up to _WRITE_ROWS rows into a temp file that is
+then renamed over the target, so readers never observe a partial file and
+no writer holds more than one piece of text.  Floats are written with
+repr(), so identical data produces identical bytes and reads back exactly.
 """
 
 from __future__ import annotations
@@ -42,10 +42,20 @@ from .events import Event, EventStream, SensorGeometry, as_stream
 from .tracking import TrackStatus
 
 
-# Rows per chunk that a reader parses and a writer formats at a time: large
-# enough that the per-chunk cost vanishes, small enough that no chunk's
-# Python objects weigh on the peak memory of a long stream.
+# Lines per chunk that a reader parses at a time, and rows per batch of the
+# cluster command: large enough that the per-chunk cost vanishes.  With
+# 1,024-line chunks the filter and track commands ran 25% and 21% slower on
+# the 10 s stability stream (325 -> 406 ms and 207 -> 250 ms, in-process
+# best of 7 on a 2-core x86-64 host).
 _CHUNK_ROWS = 8192
+
+# Rows per piece that a writer formats at a time.  A piece of text is a
+# transient at the peak memory of a whole pass: in 8,192-row pieces the
+# 66,401-row labeled write of the reference scene took 1.63 MB beyond its
+# input under tracemalloc, in 1,024-row pieces 0.22 MB.  A writer's time is
+# set by repr, whatever the piece size: that write took 75.3 ms in 1,024-row
+# pieces and 76.0 ms in 8,192-row ones (best of 30, same host).
+_WRITE_ROWS = 1024
 
 
 def _fmt(v: float) -> str:
@@ -185,7 +195,7 @@ def event_header(geom: SensorGeometry) -> str:
 
 
 def event_lines(s: EventStream) -> Iterator[str]:
-    """The lines of events `s`, in pieces of up to _CHUNK_ROWS."""
+    """The lines of events `s`, in pieces of up to _WRITE_ROWS."""
     return _lines(EVENT_COLUMNS, [s.t, s.x, s.y, s.p], sep=" ")
 
 
@@ -391,7 +401,7 @@ def write_labeled_events(path: str, rows: LabeledEvents) -> None:
 
 
 def labeled_lines(rows: LabeledEvents) -> Iterator[str]:
-    """The CSV lines of labeled rows, in pieces of up to _CHUNK_ROWS."""
+    """The CSV lines of labeled rows, in pieces of up to _WRITE_ROWS."""
     return _lines(LABELED_COLUMNS, [getattr(rows, name) for name in LABELED_HEADER])
 
 
@@ -434,7 +444,7 @@ def write_tracks(path: str, rows: Sequence[TrackRow]) -> None:
 
 
 def track_lines(rows: Sequence[TrackRow]) -> Iterator[str]:
-    """The CSV lines of track rows, in pieces of up to _CHUNK_ROWS."""
+    """The CSV lines of track rows, in pieces of up to _WRITE_ROWS."""
     return _lines(TRACKS_COLUMNS, [[getattr(r, name) for r in rows] for name in TRACKS_HEADER])
 
 
@@ -603,7 +613,7 @@ def csv_header(columns: Columns) -> str:
 
 def _lines(columns: Columns, data: Sequence[Sequence], sep: str = ",") -> Iterator[str]:
     """The lines of equal-length columns `data`, `sep`-separated, in pieces
-    of up to _CHUNK_ROWS lines.
+    of up to _WRITE_ROWS lines.
 
     Each value is converted to its column's kind and formatted: floats with
     repr (so they read back exactly), ints and strings with str.
@@ -615,8 +625,8 @@ def _lines(columns: Columns, data: Sequence[Sequence], sep: str = ",") -> Iterat
     row = sep.join(_FORMAT[_base(kind)] for _, kind in columns) + "\n"
 
     def pieces() -> Iterator[str]:
-        for start in range(0, n, _CHUNK_ROWS):
-            chunk = [_values(kind, col[start : start + _CHUNK_ROWS]) for (_, kind), col in zip(columns, data)]
+        for start in range(0, n, _WRITE_ROWS):
+            chunk = [_values(kind, col[start : start + _WRITE_ROWS]) for (_, kind), col in zip(columns, data)]
             yield "".join(map(row.__mod__, zip(*chunk)))
 
     return pieces()

@@ -67,6 +67,13 @@ MAX_STEPS = 10_000_000
 MAX_NOISE_EVENTS = 4_000_000
 MAX_CENTER_SAMPLES = 4_000_000
 
+# How far from the origin, along x or y, a scene may place a vertex or, under
+# its keys, any point of a shape's outline and its center.  Pixels are exact
+# integers in float64 up to 2**53, and from a shape within that reach every
+# position and center that generate computes stays finite and rounds to an
+# int64 pixel.
+MAX_REACH = 2.0**53
+
 
 @dataclass(frozen=True)
 class Keyframes:
@@ -132,10 +139,18 @@ class ShapeSpec:
             raise ContractViolationError(f"shape_id must be >= 0 and < 2**63, got {self.shape_id}")
         if len(self.vertices) < 3:
             raise ContractViolationError("polygon needs at least 3 vertices")
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge vertex is for the caps to refuse
-            area = _signed_area(self.vertices)
-        if abs(area) < 1e-12:
+        if (far := max(abs(c) for vertex in self.vertices for c in vertex)) > MAX_REACH:
+            raise ContractViolationError(f"vertex coordinates must be at most 2**53 in magnitude, got {far}")
+        if not abs(_signed_area(self.vertices)) >= 1e-12:
             raise ContractViolationError("polygon has zero area")
+        # A bound, up to rounding, on |x| and |y| of every point of the outline
+        # and of the center under the keys: the largest key coordinate plus the
+        # largest scale times the largest |x| + |y| of a vertex or of the
+        # centroid, which no turn exceeds.
+        size = max(abs(x) + abs(y) for x, y in (*self.vertices, shoelace_centroid(self.vertices)))
+        reach = max(map(abs, self.keys.x + self.keys.y)) + max(map(abs, self.keys.scale), default=1.0) * size
+        if not reach <= MAX_REACH:
+            raise ContractViolationError(f"a shape must stay within 2**53 px of the origin, reaches {reach:.6g}")
         if self.polarity not in ("motion", 0, 1):
             raise ContractViolationError(f"polarity must be 'motion', 0 or 1, got {self.polarity!r}")
 

@@ -229,23 +229,28 @@ def _predicted(x: np.ndarray, p: np.ndarray, dt: float, q_var: float) -> Tuple[n
 
 
 def _updated(x: np.ndarray, p: np.ndarray, z: np.ndarray, r_var: float) -> Tuple[np.ndarray, np.ndarray]:
-    """States and covariances fused with positions z (n, 2).
+    """States and covariances fused with positions z (n, 2); NumericalError
+    where a result is not finite.
 
     Uses the Joseph form of the covariance update plus symmetrization so the
     covariance stays positive semidefinite under roundoff.
     """
     h = MEASUREMENT_MATRIX
     r = r_var * np.eye(2)
-    hp = h @ p
-    try:
-        k = _swap(np.linalg.solve(hp @ h.T + r, hp))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular innovation covariance: {exc}") from exc
-    innovation = z[..., None] - h @ x[..., None]
-    x = x + (k @ innovation)[..., 0]
-    ikh = np.eye(4) - k @ h
-    p = ikh @ p @ _swap(ikh) + k @ r @ _swap(k)
-    return x, 0.5 * (p + _swap(p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        hp = h @ p
+        try:
+            k = _swap(np.linalg.solve(hp @ h.T + r, hp))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"singular innovation covariance: {exc}") from exc
+        innovation = z[..., None] - h @ x[..., None]
+        x = x + (k @ innovation)[..., 0]
+        ikh = np.eye(4) - k @ h
+        p = ikh @ p @ _swap(ikh) + k @ r @ _swap(k)
+        p = 0.5 * (p + _swap(p))
+    if not (np.isfinite(x).all() and np.isfinite(p).all()):
+        raise NumericalError(f"update with a measurement variance of {r_var} is not finite")
+    return x, p
 
 
 def norms(d: np.ndarray) -> np.ndarray:

@@ -243,6 +243,22 @@ def test_exit_code_tracker_overflow(tmp_path, capsys, times):
     assert not out.exists()
 
 
+# numpy's RuntimeWarnings go to stderr in a process of its own
+@pytest.mark.parametrize("argv, err", [
+    # an age over tau overflows: its decay is exp(-inf) = 0, exactly
+    (["cluster", "--in", "ev.txt", "--packet-size", "4", "--tau", "1e-320"], ""),
+    (["track", "--in", "lab.csv", "--r-var", "1e308"], "error: update with a measurement variance of 1e+308 is not finite\n"),
+], ids=["cluster tau 1e-320", "track r_var 1e308"])
+def test_numerical_extremes_print_no_warnings(tmp_path, argv, err):
+    (tmp_path / "ev.txt").write_text("# 20 20\n" + "".join(f"{i * 1e-3!r} {10 + i % 2} 12 1\n" for i in range(8)))
+    (tmp_path / "lab.csv").write_text("t,x,y,p,packet_id,cluster_id\n"
+                                      + "".join(f"{i * 1e-3!r},{10 + k},12,1,{i},0\n" for i in range(3) for k in (0, 1)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(evshift.__file__)))
+    res = subprocess.run([sys.executable, "-m", "evshift.cli", *argv, "--out", "out.csv"], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert (res.returncode, res.stderr) == (7 if err else 0, err)
+
+
 def test_exit_code_scene_directory(tmp_path, capsys):
     assert main(["synth", "--scene", str(tmp_path), "--out", str(tmp_path / "o.txt")]) == 3
     assert f"file not found: {tmp_path}" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 import warnings
 
 import io_oracle
@@ -536,7 +537,9 @@ def one_pass_text(columns, data, header=None, sep=","):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("n", [0, 1, io._CHUNK_ROWS - 1, io._CHUNK_ROWS, io._CHUNK_ROWS + 1])
+# Both sides of a writer's piece edge, and of a reader's chunk edge.
+@pytest.mark.parametrize("n", [0, 1, io._WRITE_ROWS - 1, io._WRITE_ROWS, io._WRITE_ROWS + 1, 2 * io._WRITE_ROWS + 1,
+                               io._CHUNK_ROWS - 1, io._CHUNK_ROWS, io._CHUNK_ROWS + 1])
 def test_chunked_writes_equal_one_pass_formatting(tmp_path, n):
     rng = np.random.default_rng(n)
     t = np.cumsum(rng.exponential(1e-4, n))
@@ -573,14 +576,31 @@ def test_writers_convert_values_to_their_column_kind(tmp_path):
 def test_failed_write_keeps_the_old_file(tmp_path):
     path = tmp_path / "lab.csv"
     path.write_text("old\n")
-    n = io._CHUNK_ROWS + 3
+    n = io._WRITE_ROWS + 3
     cluster_id = np.zeros(n)
-    cluster_id[-1] = math.nan  # int(nan) fails in the second chunk, after the first was written
+    cluster_id[-1] = math.nan  # int(nan) fails in the second piece, after the first was written
     ints = np.zeros(n, dtype=np.int64)
     with pytest.raises(ValueError):
         write_labeled_events(str(path), LabeledEvents(np.zeros(n), ints, ints, ints, ints, cluster_id))
     assert path.read_text() == "old\n"
     assert [name for name in os.listdir(tmp_path) if name.startswith(".tmp-")] == []
+
+
+def test_a_write_holds_one_piece_of_text(tmp_path):
+    # the size of the reference pass's labeled write; in 8,192-row pieces it took 1.63 MB
+    n = 66_401
+    rng = np.random.default_rng(0)
+    rows = LabeledEvents(np.cumsum(rng.exponential(9e-6, n)), rng.integers(0, 240, n), rng.integers(0, 180, n),
+                         rng.integers(0, 2, n), np.arange(n) // 500, rng.integers(-1, 6, n))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        write_labeled_events(str(tmp_path / "lab.csv"), rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 500_000
 
 
 # Tokens on which the bulk parse and the per-line reader could part ways,

@@ -1,7 +1,8 @@
-"""The filter, cluster and track commands read, process and write their
-input in chunks of io._CHUNK_ROWS lines.  Their bytes, printed counts and
-errors must equal those of the library calls that they stand for, run on
-the whole input at once, at any chunk size."""
+"""The filter, cluster and track commands read and process their input in
+chunks of io._CHUNK_ROWS lines and write their output in pieces of
+io._WRITE_ROWS rows.  Their bytes, printed counts and errors must equal
+those of the library calls that they stand for, run on the whole input at
+once, at any chunk and piece size."""
 
 import contextlib
 import dataclasses
@@ -135,6 +136,7 @@ def test_streamed_commands_equal_whole_file_path(tmp_path_factory, drawn, chunk_
         want = oracle(argv)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(io, "_CHUNK_ROWS", chunk_rows)
+            mp.setattr(io, "_WRITE_ROWS", chunk_rows)
             assert outcome(argv) == want, argv[0]
 
 
@@ -155,7 +157,7 @@ SCRIPT = textwrap.dedent("""
         h = hashlib.sha256()
         for argv in commands:
             if rows != "oracle":
-                io._CHUNK_ROWS = rows
+                io._CHUNK_ROWS = io._WRITE_ROWS = rows
             rc, stdout, _, out = oracle(argv) if rows == "oracle" else outcome(argv)
             assert rc == 0
             h.update(stdout.encode())

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import synth_oracle
@@ -280,9 +280,21 @@ def _first_shape(d, **change):
     return d
 
 
+def _far_vertex(d):
+    # the overflowing area was NaN, which the zero-area test let through
+    d["shapes"][0]["vertices"] = [[1e308, 19.0], *d["shapes"][0]["vertices"][1:]]
+    return dict(d, spacing=1e306)
+
+
+def _far_keys(d):
+    d["shapes"][2]["keys"]["x"] = [-1.7e308, 1.7e308, -1.7e308]
+    return d
+
+
 # Each exited otherwise before it was refused at load_scene: equal vertices
 # with a traceback, collinear ones with 6 after rendering, shape_id 2**70 and
-# width 2**70 with tracebacks, and shape_id -1 (the noise label) with 0.
+# width 2**70 with tracebacks, shape_id -1 (the noise label) with 0, and the
+# far vertex and keys with 0 and NaN centers.
 @pytest.mark.parametrize("change, message", [
     (lambda d: _first_shape(d, vertices=[[3.0, 4.0]] * 3), "polygon has zero area"),
     (lambda d: _first_shape(d, vertices=[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]), "polygon has zero area"),
@@ -290,7 +302,10 @@ def _first_shape(d, **change):
     (lambda d: _first_shape(d, shape_id=-1), "shape_id must be >= 0 and < 2**63, got -1"),
     (lambda d: dict(d, width=2**70), f"width must be < 2**63, got {2**70}"),
     (lambda d: dict(d, height=2**63), f"height must be < 2**63, got {2**63}"),
-], ids=["equal vertices", "collinear vertices", "shape_id 2**70", "shape_id -1", "width 2**70", "height 2**63"])
+    (_far_vertex, "vertex coordinates must be at most 2**53 in magnitude, got 1e+308"),
+    (_far_keys, "a shape must stay within 2**53 px of the origin, reaches 1.7e+308"),
+], ids=["equal vertices", "collinear vertices", "shape_id 2**70", "shape_id -1", "width 2**70", "height 2**63",
+        "vertex 1e308", "key x 1.7e308"])
 def test_scene_file_out_of_range_exits_4_before_rendering(tmp_path, capsys, change, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(change(scene_to_dict(build_scene("reference")))))
@@ -298,6 +313,45 @@ def test_scene_file_out_of_range_exits_4_before_rendering(tmp_path, capsys, chan
     assert main(["synth", "--scene", str(path), "--out", str(out)]) == 4
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert not out.exists()
+
+
+def _short_reference(change=lambda d: d):
+    """The reference scene cut to 50 ms, as a JSON dict edited by `change`."""
+    return change(json.loads(json.dumps(scene_to_dict(dataclasses.replace(build_scene("reference"), duration=0.05)))))
+
+
+# Far but within the reach, and where products and sums of coordinates
+# overflow, and casts to int64 do.
+FAR_VALUES = [1e9, 2.0**50, 2.0**53, 2.0**53 + 2.0, 2.0**62, 2.0**63, 1.5e154, 1e306, 1e308, 1.7e308]
+
+
+@st.composite
+def far_scene_dicts(draw):
+    """The short reference scene with up to three vertex coordinates, key
+    x, y or scale values drawn up to +-1.7e308, and a spacing up to 1e306."""
+    d = _short_reference()
+    shapes = d["shapes"]
+    slots = [(v, j) for shape in shapes for v in shape["vertices"] for j in (0, 1)]
+    slots += [(keys, i) for keys in (shape["keys"][n] for shape in shapes for n in ("x", "y", "scale")) for i in range(len(keys))]
+    far = st.sampled_from(FAR_VALUES).flatmap(lambda v: st.sampled_from([v, -v]))
+    for values, i in draw(st.lists(st.sampled_from(slots), min_size=1, max_size=3)):
+        values[i] = draw(st.one_of(far, st.floats(-1.7e308, 1.7e308)))
+    if draw(st.booleans()):
+        d["spacing"] = draw(st.one_of(st.sampled_from([1.5e154, 1e306]), st.floats(0.05, 1e306)))
+    return d
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=far_scene_dicts())
+@example(d=_short_reference(_far_vertex))
+@example(d=_short_reference(_far_keys))
+def test_far_scenes_are_refused_or_render_finite_values(d):
+    try:
+        scene = scene_from_dict(d)
+    except ContractViolationError:
+        return
+    g = generate(scene)
+    assert np.isfinite(g.events.t).all() and np.isfinite(g.centers_t).all() and np.isfinite(g.centers_xy).all()
 
 
 def test_largest_ids_and_sizes_are_accepted():
